@@ -1,7 +1,6 @@
 /**
  * @file
- * Section 4.3 reproduction — design-overhead analysis — plus
- * google-benchmark microbenchmarks of the hot simulator kernels.
+ * Section 4.3 reproduction — design-overhead analysis.
  *
  * Printed table pins the paper's McPAT-derived accounting: LIWC's
  * 2^15-entry fp16 SRAM (~64 KB, 0.66 mm^2, <=25 mW), UCA at 1.6 mm^2
@@ -10,13 +9,9 @@
  * pipeline.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hpp"
-#include "common/fp16.hpp"
 #include "core/liwc.hpp"
 #include "core/uca.hpp"
-#include "net/channel.hpp"
 
 namespace
 {
@@ -92,101 +87,11 @@ printOverheadTable()
               << " ms (budget 11.1 ms)\n\n";
 }
 
-void
-BM_LiwcSelection(benchmark::State &state)
-{
-    core::Liwc liwc = makeLiwc();
-    motion::MotionDelta delta;
-    delta.dOrientation.x = 0.3;
-    delta.dGaze = Vec2{0.5, -0.2};
-    for (auto _ : state) {
-        auto d = liwc.selectEccentricity(delta, 2'000'000, Vec2{});
-        benchmark::DoNotOptimize(d);
-        core::LiwcFeedback fb;
-        fb.measuredLocal = 5e-3;
-        fb.measuredRemote = 6e-3;
-        fb.renderedTriangles = 300'000;
-        fb.peripheryPixels = 1e6;
-        fb.peripheryBytes = 60'000;
-        fb.ackThroughput = 134e6;
-        liwc.update(d, fb);
-    }
-}
-BENCHMARK(BM_LiwcSelection);
-
-void
-BM_UcaUnifiedFilterTile(benchmark::State &state)
-{
-    // Functional trilinear filtering cost of one 32x32 tile region.
-    core::Image fovea(64, 64, core::Rgb{0.5f, 0.5f, 0.5f});
-    core::Image middle(32, 32, core::Rgb{0.25f, 0.5f, 0.75f});
-    core::Image outer(16, 16, core::Rgb{0.75f, 0.5f, 0.25f});
-    core::UcaFrameInputs in;
-    in.fovea = &fovea;
-    in.middle = &middle;
-    in.outer = &outer;
-    in.sMiddle = 2.0;
-    in.sOuter = 4.0;
-    in.partition.centerX = 32.0;
-    in.partition.centerY = 32.0;
-    in.partition.foveaRadius = 16.0;
-    in.partition.middleRadius = 28.0;
-    in.atwShift = Vec2{1.0, -1.0};
-    for (auto _ : state) {
-        core::Image out = core::ucaUnified(in);
-        benchmark::DoNotOptimize(out);
-    }
-}
-BENCHMARK(BM_UcaUnifiedFilterTile);
-
-void
-BM_UcaTimingFullFrame(benchmark::State &state)
-{
-    core::PixelPartition pp;
-    pp.centerX = 960.0;
-    pp.centerY = 1080.0;
-    pp.foveaRadius = 260.0;
-    pp.middleRadius = 600.0;
-    for (auto _ : state) {
-        core::UcaTimingModel model;
-        auto r = model.processFrame(1920, 2160, pp, 0.0, 0.0);
-        benchmark::DoNotOptimize(r);
-    }
-}
-BENCHMARK(BM_UcaTimingFullFrame);
-
-void
-BM_ChannelTransfer(benchmark::State &state)
-{
-    net::Channel ch(net::ChannelConfig::wifi(), Rng(1));
-    for (auto _ : state) {
-        auto r = ch.transfer(fromKiB(100));
-        benchmark::DoNotOptimize(r);
-    }
-}
-BENCHMARK(BM_ChannelTransfer);
-
-void
-BM_Fp16RoundTrip(benchmark::State &state)
-{
-    float x = 1.2345f;
-    for (auto _ : state) {
-        const std::uint16_t bits = floatToHalfBits(x);
-        x = halfBitsToFloat(bits) + 1e-4f;
-        if (x > 100.0f)
-            x = 1.0f;
-        benchmark::DoNotOptimize(x);
-    }
-}
-BENCHMARK(BM_Fp16RoundTrip);
-
 }  // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printOverheadTable();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

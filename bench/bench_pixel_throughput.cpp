@@ -17,11 +17,16 @@
  * unless the best SIMD backend reaches the pinned >= 4x serial
  * speedup over the scalar composite loop on the largest canvas
  * (skipped, loudly, when no SIMD backend is compiled/supported).
+ * The gate times its two sides apart from the table: interleaved
+ * scalar/SIMD pairs in per-thread CPU time, best of kGatePairs per
+ * side, so time other processes hold the core is not counted and a
+ * burst of host load hits both sides alike.
  */
 
 #include "bench_util.hpp"
 
 #include <chrono>
+#include <ctime>
 #include <fstream>
 #include <functional>
 #include <limits>
@@ -39,6 +44,8 @@ using namespace qvr;
 
 /** Pinned acceptance gate: SIMD serial composite vs scalar loop. */
 constexpr double kRequiredSpeedup = 4.0;
+/** Interleaved scalar/SIMD timing pairs behind the gate. */
+constexpr int kGatePairs = 15;
 
 core::Image
 makePattern(std::int32_t w, std::int32_t h)
@@ -92,6 +99,19 @@ bestSeconds(int reps, const std::function<void()> &fn)
             best, std::chrono::duration<double>(t1 - t0).count());
     }
     return best;
+}
+
+/** CPU seconds this thread spends in fn(): unlike wall time, blind
+ *  to the time other processes hold the core. */
+double
+threadCpuSeconds(const std::function<void()> &fn)
+{
+    timespec t0{}, t1{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t0);
+    fn();
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t1);
+    return static_cast<double>(t1.tv_sec - t0.tv_sec) +
+           static_cast<double>(t1.tv_nsec - t0.tv_nsec) * 1e-9;
 }
 
 struct Row
@@ -169,6 +189,7 @@ main(int argc, char **argv)
 
     std::vector<Row> rows;
     double gate_speedup = 0.0;  ///< best SIMD serial composite
+    std::string gate_dispatch;
     for (const std::int32_t size : sizes) {
         const core::Image native = makePattern(size, size);
         const core::Image middle = downsample(native, 2.0);
@@ -296,10 +317,6 @@ main(int argc, char **argv)
             if (v.engine == "scalar")
                 scalar_rate[v.path] = rate;
             const double speedup = rate / scalar_rate.at(v.path);
-            if (v.path == "uca_unified" && v.threads == 1 &&
-                v.dispatch != "ref" && v.dispatch != "scalar" &&
-                size == gate_size)
-                gate_speedup = std::max(gate_speedup, speedup);
 
             rows.push_back(Row{v.path, v.engine, v.dispatch,
                                v.threads, size, rate, diff, speedup});
@@ -317,6 +334,33 @@ main(int argc, char **argv)
                           << ", threads=" << v.threads
                           << ", maxAbsDiff=" << diff << ")\n";
                 return 1;
+            }
+        }
+
+        // The gate: each vector backend's serial composite against
+        // the scalar loop, timed as interleaved pairs so a burst of
+        // host load hits both sides alike.  Each timed call follows
+        // an untimed call of the same side, so neither side inherits
+        // the other's cache and allocator state.
+        if (size != gate_size)
+            continue;
+        for (std::size_t b = 0; b < backends.size(); b++) {
+            if (backends[b] == core::simd::Backend::Scalar)
+                continue;
+            core::PixelEngine &serial = *engines[b];
+            const auto scalar = [&] { (void)core::ucaUnified(in); };
+            const auto simd = [&] { (void)serial.ucaUnified(in); };
+            double scalar_s = std::numeric_limits<double>::infinity();
+            double simd_s = scalar_s;
+            for (int i = 0; i < kGatePairs; i++) {
+                scalar();
+                scalar_s = std::min(scalar_s, threadCpuSeconds(scalar));
+                simd();
+                simd_s = std::min(simd_s, threadCpuSeconds(simd));
+            }
+            if (scalar_s / simd_s > gate_speedup) {
+                gate_speedup = scalar_s / simd_s;
+                gate_dispatch = core::simd::backendName(backends[b]);
             }
         }
     }
@@ -337,10 +381,12 @@ main(int argc, char **argv)
     if (have_simd) {
         gate_checked = true;
         gate_passed = gate_speedup >= kRequiredSpeedup;
-        std::cout << "\nSIMD gate: serial uca_unified speedup "
-                  << TextTable::num(gate_speedup, 2) << "x vs scalar"
-                  << " loop at " << gate_size << "x" << gate_size
-                  << " (required " << kRequiredSpeedup << "x): "
+        std::cout << "\nSIMD gate: serial uca_unified (" << gate_dispatch
+                  << ") speedup " << TextTable::num(gate_speedup, 2)
+                  << "x vs scalar loop at " << gate_size << "x"
+                  << gate_size << ", thread CPU time, best of "
+                  << kGatePairs << " interleaved pairs (required "
+                  << kRequiredSpeedup << "x): "
                   << (gate_passed ? "PASS" : "FAIL") << "\n";
     } else {
         std::cout << "\nSIMD gate: SKIPPED — no vector backend"

@@ -93,7 +93,7 @@ runDesignGrid(const std::vector<core::DesignPoint> &designs,
     return runCells(cells);
 }
 
-/** Geometric-mean helper for "average speedup" style rows. */
+/** Arithmetic-mean helper for "average speedup" style rows. */
 inline double
 mean(const std::vector<double> &xs)
 {

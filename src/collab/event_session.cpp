@@ -45,8 +45,7 @@ class EventEngine
   public:
     explicit EventEngine(const SessionConfig &cfg)
         : cfg_(cfg),
-          setup_(model::makeSetup(cfg, /*streaming=*/true,
-                                  cfg.aggregateTelemetry)),
+          setup_(model::makeSetup(cfg)),
           pending_(cfg.users), arrivedIssue_(cfg.users)
     {
         QVR_REQUIRE(setup_.fleet != nullptr,
@@ -65,9 +64,7 @@ class EventEngine
         QVR_REQUIRE(round_ == cfg_.numFrames,
                     "event session drained early: round ", round_,
                     " of ", cfg_.numFrames);
-        return cfg_.aggregateTelemetry
-                   ? model::finaliseAggregate(cfg_, setup_)
-                   : model::finaliseFull(cfg_, setup_);
+        return model::finalise(setup_);
     }
 
   private:
@@ -86,8 +83,8 @@ class EventEngine
     {
         model::UserState &u = setup_.users[ui];
         arrivedIssue_[ui] = u.issue;
-        pending_[ui] = model::prepareServedFrame(
-            *setup_.shared, *setup_.fleet, u, ui, u.fetchFrame());
+        pending_[ui] = model::prepareServedFrame(*setup_.shared, u, ui,
+                                                 u.fetchFrame());
         arrived_++;
         if (arrived_ == setup_.users.size()) {
             // Round cohort complete: dispatch barrier at this
@@ -164,8 +161,7 @@ class OpenLoopEngine
   public:
     explicit OpenLoopEngine(const SessionConfig &cfg)
         : cfg_(cfg),
-          setup_(model::makeSetup(cfg, /*streaming=*/true,
-                                  cfg.aggregateTelemetry)),
+          setup_(model::makeSetup(cfg)),
           arrivals_(core::generateArrivals(cfg.openLoop.arrivals,
                                            cfg.openLoop.horizon))
     {
@@ -188,10 +184,7 @@ class OpenLoopEngine
                     "open-loop session did not drain: ", active_,
                     " users still connected");
 
-        SessionResult result =
-            cfg_.aggregateTelemetry
-                ? model::finaliseAggregate(cfg_, setup_)
-                : model::finaliseFull(cfg_, setup_);
+        SessionResult result = model::finalise(setup_);
         result.openLoop.enabled = true;
         result.openLoop.arrivals = setup_.users.size();
         result.openLoop.departures = departures_;
@@ -230,8 +223,7 @@ class OpenLoopEngine
         model::initUser(cfg_, setup_, u, benchmark,
                         /*workload_seed=*/a.seed,
                         /*channel_seed=*/a.seed,
-                        /*channel_stream=*/0xbeef, a.frames,
-                        /*streaming=*/true, cfg_.aggregateTelemetry);
+                        /*channel_stream=*/0xbeef, a.frames);
         u.batchKey =
             mix.empty() ? 0 : static_cast<std::uint32_t>(a.profile);
         u.issue = a.connect;
@@ -252,8 +244,8 @@ class OpenLoopEngine
     void onIssue(std::size_t ui)
     {
         model::UserState &u = setup_.users[ui];
-        pending_[ui] = model::prepareServedFrame(
-            *setup_.shared, *setup_.fleet, u, ui, u.fetchFrame());
+        pending_[ui] = model::prepareServedFrame(*setup_.shared, u, ui,
+                                                 u.fetchFrame());
         cohort_.emplace_back(u.issue, ui);
         if (!flushArmed_) {
             flushArmed_ = true;

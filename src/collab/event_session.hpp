@@ -6,10 +6,9 @@
  * dispatch on a shard → complete → compose — whose stages run as
  * events on sim::EventQueue under the deterministic (time, priority,
  * seq) tie-break discipline.  Workloads stream frame by frame
- * (core::WorkloadStream) and telemetry can accumulate instead of
- * storing every frame, so memory is O(users): the engine sweeps
- * 10,000+ simulated users per shard where the lockstep engine's
- * eager workload vectors would need gigabytes.
+ * (core::WorkloadStream) and telemetry can keep only its fold
+ * instead of every frame, so memory is O(users): the engine sweeps
+ * 10,000+ simulated users per shard.
  *
  * Equivalence contract: the serving policies (EDF, admission,
  * batching) are defined over round cohorts and the shared egress

@@ -1,7 +1,6 @@
 #include "collab/session.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
 #include "collab/event_session.hpp"
@@ -81,64 +80,6 @@ issueOrder(const std::vector<Seconds> &issue)
     return order;
 }
 
-double
-SessionResult::meanFps() const
-{
-    if (aggregate.enabled)
-        return aggregate.meanFps;
-    double sum = 0.0;
-    for (const auto &u : perUser)
-        sum += u.meanFps();
-    return perUser.empty() ? 0.0
-                           : sum / static_cast<double>(perUser.size());
-}
-
-double
-SessionResult::worstUserFps() const
-{
-    if (aggregate.enabled)
-        return aggregate.worstUserFps;
-    double worst = std::numeric_limits<double>::infinity();
-    for (const auto &u : perUser)
-        worst = std::min(worst, u.meanFps());
-    return perUser.empty() ? 0.0 : worst;
-}
-
-double
-SessionResult::meanMtp() const
-{
-    if (aggregate.enabled)
-        return aggregate.meanMtp;
-    double sum = 0.0;
-    for (const auto &u : perUser)
-        sum += u.meanMtp();
-    return perUser.empty() ? 0.0
-                           : sum / static_cast<double>(perUser.size());
-}
-
-double
-SessionResult::fpsCompliance() const
-{
-    if (aggregate.enabled)
-        return aggregate.fpsCompliance;
-    double sum = 0.0;
-    for (const auto &u : perUser)
-        sum += u.fpsCompliance();
-    return perUser.empty() ? 0.0
-                           : sum / static_cast<double>(perUser.size());
-}
-
-double
-SessionResult::aggregateBytesPerFrame() const
-{
-    if (aggregate.enabled)
-        return aggregate.bytesPerFrame;
-    double sum = 0.0;
-    for (const auto &u : perUser)
-        sum += u.meanTransmittedBytes();
-    return sum;
-}
-
 SessionResult
 runSession(const SessionConfig &cfg)
 {
@@ -146,8 +87,7 @@ runSession(const SessionConfig &cfg)
     if (cfg.engine == SessionEngine::Event)
         return runEventSession(cfg);
 
-    model::SessionSetup su = model::makeSetup(
-        cfg, /*streaming=*/false, /*aggregate=*/false);
+    model::SessionSetup su = model::makeSetup(cfg);
     model::Shared &shared = *su.shared;
     std::vector<model::UserState> &users = su.users;
     serve::Fleet *fleet = su.fleet.get();
@@ -179,7 +119,7 @@ runSession(const SessionConfig &cfg)
             for (std::size_t ui : order) {
                 model::UserState &u = users[ui];
                 pending.push_back(model::prepareServedFrame(
-                    shared, *fleet, u, ui, u.fetchFrame()));
+                    shared, u, ui, u.fetchFrame()));
                 pending.back().request.seq = fleet->nextSeq();
                 reqs.push_back(pending.back().request);
             }
@@ -200,13 +140,13 @@ runSession(const SessionConfig &cfg)
             const auto &frame = u.fetchFrame();
             core::FrameStats s =
                 cfg.design == SessionDesign::Qvr
-                    ? model::simulateQvrFrame(shared, u, frame)
+                    ? model::simulateQvrFrame(shared, u, ui, frame)
                     : model::simulateStaticFrame(shared, u, frame);
             model::commitFrame(shared, u, s);
         }
     }
 
-    return model::finaliseFull(cfg, su);
+    return model::finalise(su);
 }
 
 std::size_t

@@ -50,14 +50,12 @@ enum class SessionDesign
  */
 enum class SessionEngine
 {
-    /** Round loop materialising every user's workload up front — the
-     *  original engine, kept as the bit-exact oracle. */
+    /** Round loop over every user's next frame — the original
+     *  engine, kept as the bit-exact oracle. */
     Lockstep,
     /** Per-user state machines (sense → issue → dispatch → complete →
      *  compose) scheduled on sim::EventQueue with the deterministic
-     *  (time, priority, seq) tie-break; workloads stream frame by
-     *  frame, so memory is O(users), not O(users × frames).  Served
-     *  design only. */
+     *  (time, priority, seq) tie-break.  Served design only. */
     Event,
 };
 
@@ -149,12 +147,11 @@ struct SessionConfig
     OpenLoopConfig openLoop;
 
     /**
-     * Event engine only: accumulate per-user running sums instead of
-     * storing every FrameStats, shrinking a 10k-user sweep's result
-     * from gigabytes to kilobytes.  SessionResult::perUser stays
-     * empty; the summary accessors read SessionResult::aggregate,
-     * whose numbers are bit-identical to what the full-telemetry
-     * helpers would have computed.
+     * Event engine only: keep only the per-user running sums, not
+     * every FrameStats, shrinking a 10k-user sweep's result from
+     * gigabytes to kilobytes.  SessionResult::perUser and perUserSlo
+     * stay empty; the summary accessors read SessionResult::aggregate
+     * either way.
      */
     bool aggregateTelemetry = false;
 
@@ -188,13 +185,15 @@ struct UserSloStats
 };
 
 /**
- * Streaming telemetry summary (SessionConfig::aggregateTelemetry).
- * Every number equals what the full-telemetry accessors would have
- * computed from SessionResult::perUser — accumulated in frame order
- * with the same warm-up skip, so the equality is bitwise.
+ * Session summary, folded from every committed frame.  Every number
+ * equals what PipelineResult's helpers compute from the per-user
+ * frames — accumulated in frame order with the same warm-up skip, so
+ * the equality is bitwise.
  */
 struct SessionAggregate
 {
+    /** True when the per-user frames were dropped
+     *  (SessionConfig::aggregateTelemetry). */
     bool enabled = false;
     std::size_t users = 0;
     std::size_t framesPerUser = 0;
@@ -226,19 +225,23 @@ struct SessionResult
     SessionConfig config;
     std::vector<core::PipelineResult> perUser;
 
-    /** Streaming summary (enabled == aggregateTelemetry runs). */
+    /** Summary of every user's frames (filled in both modes). */
     SessionAggregate aggregate;
 
     /** Across-user mean of per-user mean FPS. */
-    double meanFps() const;
+    double meanFps() const { return aggregate.meanFps; }
     /** Slowest user's mean FPS (the fairness-critical number). */
-    double worstUserFps() const;
+    double worstUserFps() const { return aggregate.worstUserFps; }
     /** Across-user mean MTP (seconds). */
-    double meanMtp() const;
-    /** Fraction of (user, frame) pairs meeting 90 Hz. */
-    double fpsCompliance() const;
+    double meanMtp() const { return aggregate.meanMtp; }
+    /** Across-user mean of the per-user fraction of frames meeting
+     *  90 Hz. */
+    double fpsCompliance() const { return aggregate.fpsCompliance; }
     /** Total downlink bytes per frame across users. */
-    double aggregateBytesPerFrame() const;
+    double aggregateBytesPerFrame() const
+    {
+        return aggregate.bytesPerFrame;
+    }
     /** Shared-egress utilisation over the run. */
     double egressUtilisation = 0.0;
     /** Shared chiplet-pool utilisation over the run. */

@@ -10,7 +10,6 @@ namespace qvr::collab::model
 {
 
 using core::FrameStats;
-using core::PipelineResult;
 
 namespace
 {
@@ -21,8 +20,7 @@ safeInverse(double x)
     return x > 0.0 ? 1.0 / x : 0.0;
 }
 
-/** Nearest-rank percentile over a sorted sample (the exact rank
- *  arithmetic computeUserSlo has always used). */
+/** Nearest-rank percentile over a sorted sample. */
 Seconds
 nearestRank(const std::vector<Seconds> &sorted, double q)
 {
@@ -54,7 +52,7 @@ UserAggregate::add(const FrameStats &s)
     }
     frames++;
 
-    // Mirror of computeUserSlo: SLO counters span ALL frames.
+    // SLO counters span ALL frames.
     if (!s.serveAdmitted) {
         shed++;
         return;
@@ -93,21 +91,37 @@ UserAggregate::fpsCompliance() const
                    : 0.0;
 }
 
+UserSloStats
+UserAggregate::slo() const
+{
+    UserSloStats out;
+    out.shedFrames = shed;
+    out.downgradedFrames = downgraded;
+    if (frames > 0)
+        out.deadlineMissRate = static_cast<double>(late) /
+                               static_cast<double>(frames);
+    if (!waits.empty()) {
+        std::vector<Seconds> sorted = waits;
+        std::sort(sorted.begin(), sorted.end());
+        out.p50QueueWait = nearestRank(sorted, 0.50);
+        out.p99QueueWait = nearestRank(sorted, 0.99);
+    }
+    return out;
+}
+
 const scene::FrameWorkload &
 UserState::fetchFrame()
 {
-    if (stream) {
-        nextFrame++;
-        return stream->next();
-    }
-    return workload[nextFrame++];
+    nextFrame++;
+    return stream->next();
 }
 
-Shared::Shared(const SessionConfig &c, const core::PipelineConfig &pc,
+Shared::Shared(const SessionConfig &c,
+               const core::PipelineConfig &pipeline,
                const remote::ServerConfig &request_cfg)
-    : cfg(&c), geometry(pc.display(), pc.mar), oracle(geometry),
-      gpuModel(pc.gpuConfig, pc.gpuCost), requestServer(request_cfg),
-      codec(pc.codecConfig), postCosts(pc.postCosts),
+    : cfg(&c), pc(pipeline), geometry(pc.display(), pc.mar),
+      oracle(geometry), gpuModel(pc.gpuConfig, pc.gpuCost),
+      requestServer(request_cfg), codec(pc.codecConfig),
       serverPool(std::max<std::uint32_t>(
           1, c.totalChiplets / c.chipletsPerRequest)),
       egress()
@@ -131,117 +145,13 @@ shipAndDecode(Shared &sh, UserState &u, Seconds ready, Bytes bytes,
 }
 
 FrameStats
-simulateQvrFrame(Shared &sh, UserState &u,
-                 const scene::FrameWorkload &frame)
-{
-    const auto &bench = *u.bench;
-    FrameStats s;
-    s.index = frame.index;
-    const Seconds cpu_done = u.cpu.serve(u.issue, kControlLogic);
-
-    const Vec2 gaze{frame.motionSeen.gaze.x, frame.motionSeen.gaze.y};
-    const core::LiwcDecision decision = u.liwc->selectEccentricity(
-        frame.motionDelta, frame.totalTriangles() * 2, gaze);
-    const auto &resolved = sh.oracle.resolve(decision.e1, gaze);
-    s.e1 = resolved.partition.e1;
-    s.e2 = resolved.partition.e2;
-
-    const double area =
-        sh.geometry.foveaAreaFraction(resolved.partition.e1, gaze);
-    const double work =
-        std::pow(std::max(1e-9, area),
-                 1.0 / bench.centerConcentration);
-
-    gpu::RenderJob local;
-    local.triangles = static_cast<std::uint64_t>(
-        static_cast<double>(frame.totalTriangles()) * 2.0 * work);
-    local.shadedPixels = resolved.pixels.foveaPixels * 2.0;
-    local.batches = std::max<std::uint32_t>(
-        1,
-        static_cast<std::uint32_t>(bench.numBatches * work * 2.0));
-    local.shadingCost = bench.shadingCost;
-    s.tLocalRender = sh.gpuModel.renderSeconds(local);
-    s.localTriangles = local.triangles;
-    const Seconds local_done = u.gpu.serve(cpu_done, s.tLocalRender);
-
-    // Server render on the shared chiplet pool.
-    gpu::RenderJob remote_job;
-    remote_job.triangles = static_cast<std::uint64_t>(
-        static_cast<double>(frame.totalTriangles()) * 2.0 *
-        (1.0 - work));
-    remote_job.shadedPixels = resolved.pixels.peripheryPixels() * 2.0;
-    remote_job.batches = bench.numBatches * 2;
-    remote_job.shadingCost = bench.shadingCost;
-    s.tRemoteRender = sh.requestServer.renderSeconds(remote_job);
-    const Seconds render_done = sh.serverPool.serve(
-        cpu_done + kUplink, s.tRemoteRender);
-    const Seconds stream_start = render_done - 0.7 * s.tRemoteRender;
-
-    Seconds all_decoded = 0.0;
-    double periphery_pixels = 0.0;
-    for (int eye = 0; eye < 2; eye++) {
-        for (int layer = 0; layer < 2; layer++) {
-            const double pixels =
-                layer == 0 ? resolved.pixels.middlePixels
-                           : resolved.pixels.outerPixels;
-            const double factor =
-                layer == 0 ? resolved.pixels.middleFactor
-                           : resolved.pixels.outerFactor;
-            const Bytes bytes =
-                sh.codec.compressedSize(pixels, 1.0, factor);
-            const Seconds ready =
-                stream_start + 0.3 * sh.codec.encodeTime(pixels);
-            const Seconds decoded =
-                shipAndDecode(sh, u, ready, bytes, pixels);
-            all_decoded = std::max(all_decoded, decoded);
-            s.transmittedBytes += bytes;
-            s.tNetwork +=
-                static_cast<double>(bytes) * 8.0 /
-                u.channel->ackThroughput();
-            periphery_pixels += pixels;
-        }
-    }
-    s.tRemoteBranch = std::max(0.0, all_decoded - cpu_done);
-
-    const auto &display = sh.geometry.display();
-    core::PixelPartition pp;
-    const double ppd = display.pixelsPerDegree();
-    pp.centerX = display.width / 2.0 + gaze.x * ppd;
-    pp.centerY = display.height / 2.0 + gaze.y * ppd;
-    pp.foveaRadius = resolved.partition.e1 * ppd;
-    pp.middleRadius = resolved.partition.e2 * ppd;
-    const core::UcaTimingResult eye0 = u.uca.processFrame(
-        display.width, display.height, pp, local_done, all_decoded);
-    const core::UcaTimingResult eye1 = u.uca.processFrame(
-        display.width, display.height, pp, local_done, all_decoded);
-    const Seconds done = std::max(eye0.done, eye1.done);
-    s.tComposition = (eye0.busy + eye1.busy) / 2.0;
-
-    s.displayTime = done + kDisplay;
-    s.mtpLatency = kSensor + (s.displayTime - u.issue);
-    s.gpuBusy = s.tLocalRender;
-    s.renderedResolutionFraction =
-        sh.geometry.linearResolutionFraction(resolved.partition);
-
-    core::LiwcFeedback fb;
-    fb.measuredLocal = s.tLocalRender;
-    fb.measuredRemote = s.tRemoteBranch;
-    fb.renderedTriangles = local.triangles;
-    fb.peripheryPixels = periphery_pixels;
-    fb.peripheryBytes = s.transmittedBytes;
-    fb.ackThroughput = u.channel->ackThroughput();
-    u.liwc->update(decision, fb);
-    return s;
-}
-
-FrameStats
 simulateStaticFrame(Shared &sh, UserState &u,
                     const scene::FrameWorkload &frame)
 {
     const auto &bench = *u.bench;
     FrameStats s;
     s.index = frame.index;
-    const Seconds cpu_done = u.cpu.serve(u.issue, kControlLogic);
+    const Seconds cpu_done = u.cpu.serve(u.issue, sh.pc.controlLogicTime);
 
     // Local: the interactive objects.
     gpu::RenderJob local;
@@ -258,7 +168,7 @@ simulateStaticFrame(Shared &sh, UserState &u,
     local.shadingCost = bench.shadingCost;
     s.tLocalRender =
         sh.gpuModel.renderSeconds(local) *
-        (1.0 + sh.postCosts.contentionInflation);
+        (1.0 + sh.pc.postCosts.contentionInflation);
     const Seconds local_done = u.gpu.serve(cpu_done, s.tLocalRender);
 
     // Remote: full background + depth, prefetched one frame ahead.
@@ -272,7 +182,7 @@ simulateStaticFrame(Shared &sh, UserState &u,
     bg.shadingCost = bench.shadingCost;
     s.tRemoteRender = sh.requestServer.renderSeconds(bg);
     const Seconds render_done = sh.serverPool.serve(
-        cpu_done + kUplink, s.tRemoteRender);
+        cpu_done + sh.pc.uplinkLatency, s.tRemoteRender);
 
     const Bytes bytes = sh.codec.compressedSize(bg_pixels, 1.0, 1.0,
                                                 /*with_depth=*/true);
@@ -296,31 +206,30 @@ simulateStaticFrame(Shared &sh, UserState &u,
     s.tRemoteBranch = std::max(0.0, bg_ready - cpu_done);
 
     s.tComposition = gpu::postprocess::depthCompositionTime(
-        sh.gpuModel, bg_pixels, sh.postCosts);
+        sh.gpuModel, bg_pixels, sh.pc.postCosts);
     s.tAtw = gpu::postprocess::atwTime(sh.gpuModel, bg_pixels,
-                                       sh.postCosts);
+                                       sh.pc.postCosts);
     const Seconds comp_start = std::max(local_done, bg_ready) +
                                0.6 * (s.tComposition + s.tAtw);
     const Seconds done =
         u.gpu.serve(comp_start, s.tComposition + s.tAtw);
 
-    s.displayTime = done + kDisplay;
-    s.mtpLatency = kSensor + (s.displayTime - u.issue);
+    s.displayTime = done + sh.pc.displayLatency;
+    s.mtpLatency = sh.pc.sensorLatency + (s.displayTime - u.issue);
     s.gpuBusy = s.tLocalRender + s.tComposition + s.tAtw;
     s.renderedResolutionFraction = 1.0;
     return s;
 }
 
 ServedPending
-prepareServedFrame(Shared &sh, const serve::Fleet &fleet, UserState &u,
-                   std::size_t user_index,
+prepareServedFrame(Shared &sh, UserState &u, std::size_t user_index,
                    const scene::FrameWorkload &frame)
 {
     const auto &bench = *u.bench;
     ServedPending p;
     FrameStats &s = p.s;
     s.index = frame.index;
-    p.cpuDone = u.cpu.serve(u.issue, kControlLogic);
+    p.cpuDone = u.cpu.serve(u.issue, sh.pc.controlLogicTime);
 
     p.gaze = Vec2{frame.motionSeen.gaze.x, frame.motionSeen.gaze.y};
     p.decision = u.liwc->selectEccentricity(
@@ -354,13 +263,13 @@ prepareServedFrame(Shared &sh, const serve::Fleet &fleet, UserState &u,
         p.resolved.pixels.peripheryPixels() * 2.0;
     p.remoteJob.batches = bench.numBatches * 2;
     p.remoteJob.shadingCost = bench.shadingCost;
-    s.tRemoteRender = fleet.requestRenderSeconds(p.remoteJob);
+    s.tRemoteRender = sh.requestServer.renderSeconds(p.remoteJob);
 
     serve::RenderRequest &r = p.request;
     r.user = static_cast<std::uint32_t>(user_index);
     r.placement = u.placement;  // 0: the fleet derives it from user
     r.frame = frame.index;
-    r.arrival = p.cpuDone + kUplink;
+    r.arrival = p.cpuDone + sh.pc.uplinkLatency;
     r.deadline = r.arrival + sh.cfg->renderDeadline;
     r.service = s.tRemoteRender;
     r.triangles = p.remoteJob.triangles;
@@ -446,8 +355,8 @@ finishServedFrame(Shared &sh, UserState &u, ServedPending &p,
     const Seconds done = std::max(eye0.done, eye1.done);
     s.tComposition = (eye0.busy + eye1.busy) / 2.0;
 
-    s.displayTime = done + kDisplay;
-    s.mtpLatency = kSensor + (s.displayTime - u.issue);
+    s.displayTime = done + sh.pc.displayLatency;
+    s.mtpLatency = sh.pc.sensorLatency + (s.displayTime - u.issue);
 
     if (o.admitted) {
         // Shed frames carry no remote measurement, so the LIWC
@@ -464,6 +373,17 @@ finishServedFrame(Shared &sh, UserState &u, ServedPending &p,
     return s;
 }
 
+FrameStats
+simulateQvrFrame(Shared &sh, UserState &u, std::size_t user_index,
+                 const scene::FrameWorkload &frame)
+{
+    ServedPending p = prepareServedFrame(sh, u, user_index, frame);
+    serve::ServeOutcome o;  // admitted at rung 0, never queued
+    o.service = p.request.service;
+    o.completion = sh.serverPool.serve(p.request.arrival, o.service);
+    return finishServedFrame(sh, u, p, o);
+}
+
 void
 commitFrame(Shared &sh, UserState &u, FrameStats s)
 {
@@ -475,51 +395,22 @@ commitFrame(Shared &sh, UserState &u, FrameStats s)
         s.frameInterval <= vr_requirements::kFrameBudget + 1e-9;
     s.meetsMtp =
         s.mtpLatency <= vr_requirements::kMaxMotionToPhoton + 1e-9;
-    if (u.aggregateOnly)
-        u.agg.add(s);
-    else
+    u.agg.add(s);
+    if (!sh.cfg->aggregateTelemetry)
         u.result.frames.push_back(s);
 
     u.issue = std::max({u.issue + 0.2e-3, u.gpu.nextFree(),
                         u.lastMile.nextFree(), sh.egress.nextFree()});
 }
 
-UserSloStats
-computeUserSlo(const PipelineResult &pu)
-{
-    UserSloStats slo;
-    std::vector<Seconds> waits;
-    std::uint64_t late = 0;
-    for (const FrameStats &f : pu.frames) {
-        if (!f.serveAdmitted) {
-            slo.shedFrames++;
-            continue;
-        }
-        waits.push_back(f.serveQueueWait);
-        if (f.degradationLevel > 0)
-            slo.downgradedFrames++;
-        if (!f.serveDeadlineMet)
-            late++;
-    }
-    if (!pu.frames.empty())
-        slo.deadlineMissRate =
-            static_cast<double>(late) /
-            static_cast<double>(pu.frames.size());
-    if (!waits.empty()) {
-        std::sort(waits.begin(), waits.end());
-        slo.p50QueueWait = nearestRank(waits, 0.50);
-        slo.p99QueueWait = nearestRank(waits, 0.99);
-    }
-    return slo;
-}
-
 void
 initUser(const SessionConfig &cfg, SessionSetup &su, UserState &u,
          const std::string &benchmark, std::uint64_t workload_seed,
          std::uint64_t channel_seed, std::uint64_t channel_stream,
-         std::size_t num_frames, bool streaming, bool aggregate)
+         std::size_t num_frames)
 {
     const auto &bench = scene::findBenchmark(benchmark);
+    const Shared &sh = *su.shared;
     u.bench = &bench;
     u.totalFrames = num_frames;
 
@@ -528,10 +419,7 @@ initUser(const SessionConfig &cfg, SessionSetup &su, UserState &u,
     user_spec.channel = cfg.lastMile;
     user_spec.numFrames = num_frames;
     user_spec.seed = workload_seed;
-    if (streaming)
-        u.stream = std::make_unique<core::WorkloadStream>(user_spec);
-    else
-        u.workload = core::generateExperimentWorkload(user_spec);
+    u.stream = std::make_unique<core::WorkloadStream>(user_spec);
     u.channel = std::make_unique<net::Channel>(
         cfg.lastMile, Rng(channel_seed, channel_stream));
     if (cfg.design != SessionDesign::Static) {
@@ -539,20 +427,17 @@ initUser(const SessionConfig &cfg, SessionSetup &su, UserState &u,
             static_cast<double>(bench.pixelsPerEye()) /
             static_cast<double>(bench.meanTriangles);
         u.liwc = std::make_unique<core::Liwc>(
-            su.pc.liwcConfig, su.shared->geometry,
-            su.shared->gpuModel.triangleThroughput(
-                bench.shadingCost, pixels_per_tri),
+            sh.pc.liwcConfig, sh.geometry,
+            sh.gpuModel.triangleThroughput(bench.shadingCost,
+                                           pixels_per_tri),
             cfg.lastMile.nominalDownlink *
                 cfg.lastMile.protocolEfficiency,
-            su.pc.codecConfig.baseBitsPerPixel, 5.0,
+            sh.pc.codecConfig.baseBitsPerPixel, 5.0,
             bench.centerConcentration);
     }
-    u.aggregateOnly = aggregate;
-    if (aggregate) {
-        u.agg.warmupStart = num_frames > u.result.warmupFrames
-                                ? u.result.warmupFrames
-                                : 0;
-    }
+    u.agg.warmupStart = num_frames > u.result.warmupFrames
+                            ? u.result.warmupFrames
+                            : 0;
     u.result.design =
         cfg.design == SessionDesign::Qvr      ? "Q-VR"
         : cfg.design == SessionDesign::Served ? "Served"
@@ -561,7 +446,7 @@ initUser(const SessionConfig &cfg, SessionSetup &su, UserState &u,
 }
 
 SessionSetup
-makeSetup(const SessionConfig &cfg, bool streaming, bool aggregate)
+makeSetup(const SessionConfig &cfg)
 {
     SessionSetup su;
 
@@ -569,19 +454,18 @@ makeSetup(const SessionConfig &cfg, bool streaming, bool aggregate)
     spec.benchmark = cfg.benchmark;
     spec.channel = cfg.lastMile;
     spec.numFrames = cfg.numFrames;
-    su.pc = spec.toConfig();
+    core::PipelineConfig pc = spec.toConfig();
     if (cfg.liwcTableDepthLog2 != 0)
-        su.pc.liwcConfig.tableDepthLog2 = cfg.liwcTableDepthLog2;
+        pc.liwcConfig.tableDepthLog2 = cfg.liwcTableDepthLog2;
 
     remote::ServerConfig request_cfg = remote::ServerConfig{};
     request_cfg.chiplets = cfg.chipletsPerRequest;
 
-    su.shared = std::make_unique<Shared>(cfg, su.pc, request_cfg);
-
     // Served: stand up the serving stack.  Slot count 0 derives
     // equal hardware from the session's chiplet fields, split across
     // the shards; every shard's per-request hardware share matches
-    // the bare pool's so designs compare at identical silicon.
+    // the bare pool's so designs compare at identical silicon, and
+    // phase A prices requests on the shards' own server config.
     if (cfg.design == SessionDesign::Served) {
         serve::FleetConfig fc = cfg.serving;
         fc.server.chiplets = cfg.chipletsPerRequest;
@@ -593,7 +477,9 @@ makeSetup(const SessionConfig &cfg, bool streaming, bool aggregate)
                 std::max<std::uint32_t>(1, pool_slots / fc.shards);
         }
         su.fleet = std::make_unique<serve::Fleet>(fc);
+        request_cfg = fc.server;
     }
+    su.shared = std::make_unique<Shared>(cfg, pc, request_cfg);
 
     // Open loop: the population is the arrival process's to decide —
     // the engine calls initUser at each connect.
@@ -604,59 +490,24 @@ makeSetup(const SessionConfig &cfg, bool streaming, bool aggregate)
     for (std::size_t i = 0; i < cfg.users; i++) {
         initUser(cfg, su, su.users[i], cfg.benchmark,
                  cfg.seed + i * 101, cfg.seed + i, 0xbeef + i,
-                 cfg.numFrames, streaming, aggregate);
+                 cfg.numFrames);
     }
     return su;
 }
 
 SessionResult
-finaliseFull(const SessionConfig &cfg, SessionSetup &su)
+finalise(SessionSetup &su)
 {
-    SessionResult result;
-    result.config = cfg;
-    Seconds horizon = 0.0;
-    for (auto &u : su.users) {
-        horizon = std::max(horizon, u.lastDisplay);
-        result.perUser.push_back(std::move(u.result));
-    }
-    if (horizon > 0.0) {
-        result.egressUtilisation =
-            su.shared->egress.busyTime() / horizon;
-        result.serverUtilisation =
-            su.shared->serverPool.busyTime() /
-            (horizon *
-             static_cast<double>(su.shared->serverPool.servers()));
-    }
-    if (su.fleet) {
-        result.serveCounters = su.fleet->counters();
-        const double slots =
-            static_cast<double>(su.fleet->slotsPerShard());
-        result.shardUtilisation.assign(su.fleet->shards(), 0.0);
-        if (horizon > 0.0) {
-            for (std::size_t s = 0; s < su.fleet->shards(); s++)
-                result.shardUtilisation[s] =
-                    su.fleet->shardBusyTime(s) / (horizon * slots);
-            result.serverUtilisation =
-                su.fleet->busyTime() /
-                (horizon * slots *
-                 static_cast<double>(su.fleet->shards()));
-        }
-        for (const auto &pu : result.perUser)
-            result.perUserSlo.push_back(computeUserSlo(pu));
-    }
-    return result;
-}
-
-SessionResult
-finaliseAggregate(const SessionConfig &cfg, SessionSetup &su)
-{
+    const SessionConfig &cfg = *su.shared->cfg;
     SessionResult result;
     result.config = cfg;
     SessionAggregate &a = result.aggregate;
-    a.enabled = true;
+    a.enabled = cfg.aggregateTelemetry;
     a.users = su.users.size();
     a.framesPerUser = cfg.numFrames;
 
+    // Users fold in index order, so the across-user sums round
+    // exactly as sums over SessionResult::perUser do.
     Seconds horizon = 0.0;
     double sum_fps = 0.0, sum_mtp = 0.0, sum_comp = 0.0;
     a.worstUserFps = std::numeric_limits<double>::infinity();
@@ -676,6 +527,11 @@ finaliseAggregate(const SessionConfig &cfg, SessionSetup &su)
         total_frames += u.agg.frames;
         waits.insert(waits.end(), u.agg.waits.begin(),
                      u.agg.waits.end());
+        if (!cfg.aggregateTelemetry) {
+            if (su.fleet)
+                result.perUserSlo.push_back(u.agg.slo());
+            result.perUser.push_back(std::move(u.result));
+        }
     }
     a.horizon = horizon;
     const double n = static_cast<double>(su.users.size());

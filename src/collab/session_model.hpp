@@ -3,21 +3,26 @@
  * Session timing layer ("core_simulate"): the per-frame models every
  * session engine shares.
  *
- * runSession() historically kept its user state, shared
- * infrastructure and frame simulation in one translation unit; the
- * event-driven engine (event_session.hpp) needs the exact same
- * computations, so they live here, split by role:
+ * Every Q-VR frame, whoever arbitrates the shared chiplets, runs in
+ * three phases, and every frame of every design ends in one fold:
  *
- *  - UserState / Shared: everything one user owns privately, and the
- *    shared infrastructure all users contend on;
- *  - simulateQvrFrame / simulateStaticFrame: the closed-form designs;
- *  - prepareServedFrame / finishServedFrame: the Served design's
- *    phase A (sense + local render + request build) and phase C
- *    (streaming, fallback, composition) around the serving stack's
- *    phase B (Fleet::submitTick);
- *  - commitFrame: the per-frame bookkeeping tail, which feeds either
- *    full per-frame telemetry (PipelineResult) or the O(1)-per-user
- *    streaming aggregate the 10k-user sweeps need.
+ *  - UserState / Shared: everything one user owns privately (its
+ *    workload stream, SoC timelines, link, LIWC and telemetry), and
+ *    the shared infrastructure and models all users contend on,
+ *    including the PipelineConfig whose stage latencies every design
+ *    pays;
+ *  - phase A, prepareServedFrame: sense, local render and the render
+ *    request for the periphery;
+ *  - phase B, the chiplet arbitration: one Fleet::submitTick over a
+ *    round's requests (Served), or a call-order grab of
+ *    Shared::serverPool admitted at rung 0 (Qvr, simulateQvrFrame);
+ *  - phase C, finishServedFrame: streaming or on-device fallback,
+ *    composition and LIWC feedback;
+ *  - simulateStaticFrame: the Static design's whole frame;
+ *  - commitFrame: the bookkeeping tail, which folds every frame into
+ *    its user's UserAggregate and also stores it unless the session
+ *    runs with aggregateTelemetry;
+ *  - makeSetup / initUser / finalise: setup and result assembly.
  *
  * Engines ("core_system") own *when* these run: the lockstep engine
  * loops rounds directly; the event engine schedules them as events on
@@ -41,17 +46,11 @@
 namespace qvr::collab::model
 {
 
-/** Pipeline stage constants shared by every design (seconds). */
-constexpr Seconds kControlLogic = 0.8e-3;
-constexpr Seconds kUplink = 1.0e-3;
-constexpr Seconds kSensor = 2e-3;
-constexpr Seconds kDisplay = 5e-3;
-
 /**
- * Streaming per-user telemetry: the running sums PipelineResult's
+ * Per-user telemetry fold: the running sums PipelineResult's
  * aggregate helpers would compute from the stored frames, accumulated
- * in frame order so the finalised numbers are bit-identical to the
- * full-telemetry path — without the O(frames) per-user storage.
+ * in frame order so the finalised numbers are bit-identical to them
+ * — without the O(frames) per-user storage.
  */
 struct UserAggregate
 {
@@ -65,7 +64,7 @@ struct UserAggregate
     std::uint64_t counted = 0;   ///< post-warmup frame count
     std::uint64_t meetsRate = 0; ///< post-warmup 90 Hz frames
 
-    /** SLO counters over ALL frames (computeUserSlo semantics). */
+    /** SLO counters over ALL frames. */
     std::uint64_t shed = 0;
     std::uint64_t downgraded = 0;
     std::uint64_t late = 0;
@@ -78,14 +77,14 @@ struct UserAggregate
     double meanMtp() const;
     double meanBytes() const;
     double fpsCompliance() const;
+    /** Nearest-rank queue-wait percentiles and SLO rates. */
+    UserSloStats slo() const;
 };
 
 /** Everything one user owns privately. */
 struct UserState
 {
-    /** Eager workload (lockstep engines). */
-    std::vector<scene::FrameWorkload> workload;
-    /** Lazy workload (event engine): same frames, O(1) memory. */
+    /** The user's frames, generated lazily: O(1) memory per user. */
     std::unique_ptr<core::WorkloadStream> stream;
 
     std::unique_ptr<core::Liwc> liwc;       // Qvr/Served designs
@@ -114,11 +113,10 @@ struct UserState
     /** Static design: completion times of in-flight prefetches. */
     std::vector<Seconds> prefetchReady;
 
-    /** Full telemetry (empty when aggregateOnly). */
+    /** Per-frame telemetry (no frames under aggregateTelemetry). */
     core::PipelineResult result;
-    /** Streaming telemetry (used when aggregateOnly). */
+    /** Every committed frame, folded. */
     UserAggregate agg;
-    bool aggregateOnly = false;
 
     /** The next frame's workload; advances nextFrame.  Returns a
      *  reference valid until the following call. */
@@ -129,16 +127,17 @@ struct UserState
 struct Shared
 {
     const SessionConfig *cfg;
+    /** Models and stage latencies of the session's benchmark. */
+    core::PipelineConfig pc;
     foveation::LayerGeometry geometry;
     foveation::PartitionOracle oracle;
     gpu::MobileGpuModel gpuModel;
     remote::RemoteServer requestServer;  // one request's chiplet share
     net::VideoCodec codec;
-    gpu::postprocess::PostprocessCosts postCosts;
     sim::MultiServerResource serverPool;
     sim::BusyResource egress;
 
-    Shared(const SessionConfig &c, const core::PipelineConfig &pc,
+    Shared(const SessionConfig &c, const core::PipelineConfig &pipeline,
            const remote::ServerConfig &request_cfg);
 };
 
@@ -146,14 +145,8 @@ struct Shared
 Seconds shipAndDecode(Shared &sh, UserState &u, Seconds ready,
                       Bytes bytes, double pixels);
 
-core::FrameStats simulateQvrFrame(Shared &sh, UserState &u,
-                                  const scene::FrameWorkload &frame);
-
-core::FrameStats simulateStaticFrame(Shared &sh, UserState &u,
-                                     const scene::FrameWorkload &frame);
-
-/** Per-user state carried from a Served round's phase A (local work
- *  and request creation) to phase C (completion). */
+/** Per-user state carried from a frame's phase A (local work and
+ *  request creation) to phase C (completion). */
 struct ServedPending
 {
     core::FrameStats s;
@@ -167,21 +160,20 @@ struct ServedPending
 };
 
 /**
- * Served phase A: everything up to and including the render request —
- * identical to the Qvr frame's front half, except the periphery job
- * becomes a RenderRequest for the serving stack instead of a direct
- * call-order grab of the shared pool.  Touches only @p u's private
- * state plus const shared models, so engines may run different
- * users' phase A in any order.  The request's seq is NOT assigned
- * here: the engine assigns it in round dispatch order (the lockstep
- * and event engines must hand the fleet identical seq numbers).
+ * Phase A: everything up to and including the render request, priced
+ * on Shared::requestServer (one request's chiplet share).  Touches
+ * only @p u's private state plus const shared models, so engines may
+ * run different users' phase A in any order.  The request's seq is
+ * NOT assigned here: the engine assigns it in round dispatch order
+ * (the lockstep and event engines must hand the fleet identical seq
+ * numbers).
  */
-ServedPending prepareServedFrame(Shared &sh, const serve::Fleet &fleet,
-                                 UserState &u, std::size_t user_index,
+ServedPending prepareServedFrame(Shared &sh, UserState &u,
+                                 std::size_t user_index,
                                  const scene::FrameWorkload &frame);
 
 /**
- * Served phase C: turn the scheduler's outcome into photons.
+ * Phase C: turn the chiplet arbitration's outcome into photons.
  * Admitted requests stream their (possibly downgraded) layers from
  * the dispatch times; shed requests render the periphery on-device
  * at shedPeripheryScale — the degradation ladder's LocalOnly cost
@@ -193,18 +185,22 @@ core::FrameStats finishServedFrame(Shared &sh, UserState &u,
                                    ServedPending &p,
                                    const serve::ServeOutcome &o);
 
-/** Shared per-frame bookkeeping tail: interval, SLO flags, issue
- *  clock (the exact statements every design has always run), routed
- *  into full or aggregate telemetry. */
-void commitFrame(Shared &sh, UserState &u, core::FrameStats s);
+/** The Qvr design's frame: phases A and C around a call-order grab of
+ *  the shared chiplet pool, admitted at rung 0 with no queue wait. */
+core::FrameStats simulateQvrFrame(Shared &sh, UserState &u,
+                                  std::size_t user_index,
+                                  const scene::FrameWorkload &frame);
 
-/** Nearest-rank percentile over admitted-frame queue waits. */
-UserSloStats computeUserSlo(const core::PipelineResult &pu);
+core::FrameStats simulateStaticFrame(Shared &sh, UserState &u,
+                                     const scene::FrameWorkload &frame);
+
+/** Per-frame bookkeeping tail every design runs: interval, SLO
+ *  flags, issue clock, then the telemetry fold. */
+void commitFrame(Shared &sh, UserState &u, core::FrameStats s);
 
 /** Everything an engine needs to run a session. */
 struct SessionSetup
 {
-    core::PipelineConfig pc;
     std::unique_ptr<Shared> shared;
     /** Null unless design == Served. */
     std::unique_ptr<serve::Fleet> fleet;
@@ -213,41 +209,32 @@ struct SessionSetup
 
 /**
  * Initialise one user's private state in place: seeded workload
- * (eager or streaming), channel, LIWC, telemetry mode.  Closed-loop
- * setup calls it with the historical seed derivations (workload seed
- * cfg.seed + i*101, channel Rng(cfg.seed + i, 0xbeef + i)); the
- * open-loop engine calls it at connect time with the arrival's seed
- * and scene profile.
+ * stream, channel, LIWC, telemetry.  Closed-loop setup calls it with
+ * the historical seed derivations (workload seed cfg.seed + i*101,
+ * channel Rng(cfg.seed + i, 0xbeef + i)); the open-loop engine calls
+ * it at connect time with the arrival's seed and scene profile.
  */
 void initUser(const SessionConfig &cfg, SessionSetup &su, UserState &u,
               const std::string &benchmark,
               std::uint64_t workload_seed, std::uint64_t channel_seed,
-              std::uint64_t channel_stream, std::size_t num_frames,
-              bool streaming, bool aggregate);
+              std::uint64_t channel_stream, std::size_t num_frames);
 
 /**
  * Build the shared infrastructure, fleet (Served only; slot count 0
  * derives equal hardware from the session's chiplet fields) and
- * per-user states — seeded workloads, channels, LIWC instances.
- * @p streaming selects lazy frame generation (event engine);
- * @p aggregate selects streaming telemetry.  @p cfg must outlive the
- * returned setup.  Open-loop sessions start with zero users — the
- * engine materialises them from the arrival process.
+ * per-user states.  @p cfg must outlive the returned setup.
+ * Open-loop sessions start with zero users — the engine materialises
+ * them from the arrival process.
  */
-SessionSetup makeSetup(const SessionConfig &cfg, bool streaming,
-                       bool aggregate);
+SessionSetup makeSetup(const SessionConfig &cfg);
 
 /**
- * Full-telemetry result assembly: horizon, utilisations, serving
- * counters, per-user SLO summaries — the statements runSession has
- * always ended with, shared verbatim by both engines so the lockstep
- * path stays a field-for-field oracle.  Consumes the users' results.
+ * Result assembly shared by every engine: horizon, utilisations,
+ * serving counters and the summary in SessionResult::aggregate; with
+ * per-frame telemetry also the per-user results and SLO summaries.
+ * Consumes the users' results.
  */
-SessionResult finaliseFull(const SessionConfig &cfg, SessionSetup &su);
-
-/** Streaming-telemetry result assembly (event engine, large N). */
-SessionResult finaliseAggregate(const SessionConfig &cfg,
-                                SessionSetup &su);
+SessionResult finalise(SessionSetup &su);
 
 }  // namespace qvr::collab::model
 

@@ -24,7 +24,6 @@ Fleet::Fleet(const FleetConfig &cfg) : cfg_(cfg)
     shards_.reserve(cfg.shards);
     for (std::uint32_t i = 0; i < cfg.shards; i++) {
         shards_.push_back(Shard{
-            remote::RemoteServer(cfg.server),
             ChipletScheduler(cfg.scheduler, cfg.admission,
                              cfg.batching),
             false, false});
@@ -60,7 +59,6 @@ Fleet::scaleTo(std::uint32_t n)
         const std::size_t add = n - active_.size();
         for (std::size_t i = 0; i < add; i++) {
             shards_.push_back(Shard{
-                remote::RemoteServer(cfg_.server),
                 ChipletScheduler(cfg_.scheduler, cfg_.admission,
                                  cfg_.batching),
                 false, false});
@@ -93,12 +91,6 @@ Fleet::retireDrained(Seconds at)
     // already excluded), so no rebuild is needed; @p changed only
     // gates the counter bookkeeping above.
     (void)changed;
-}
-
-Seconds
-Fleet::requestRenderSeconds(const gpu::RenderJob &job) const
-{
-    return shards_.front().server.renderSeconds(job);
 }
 
 std::uint32_t

@@ -3,9 +3,10 @@
  * Fleet sharding: N remote-server shards behind a load balancer.
  *
  * One chiplet pool saturates; the ROADMAP's north star does not.
- * The Fleet scales the serving stack horizontally: each shard is a
- * RemoteServer (the hardware model for one request's chiplet share)
- * plus its own deadline-aware ChipletScheduler, and a pluggable
+ * The Fleet scales the serving stack horizontally: each shard is its
+ * own deadline-aware ChipletScheduler over homogeneous hardware
+ * (FleetConfig::server, one request's chiplet share, which clients
+ * price their requests on), and a pluggable
  * Balancer (serve/balancer.hpp) maps requests onto shards — JSQ,
  * bounded-load rendezvous, legacy unbounded rendezvous, bounded-load
  * consistent hashing, or power-of-two-choices.
@@ -78,10 +79,6 @@ class Fleet
     /** Next submission sequence number (the FIFO/tie-break key). */
     std::uint64_t nextSeq() { return seq_++; }
 
-    /** Full-quality render service of @p job on one shard's chiplet
-     *  share (shards are homogeneous). */
-    Seconds requestRenderSeconds(const gpu::RenderJob &job) const;
-
     /**
      * Serve one scheduling tick: assign every request to a shard,
      * run each shard's dispatch walk, and return outcomes in input
@@ -135,7 +132,6 @@ class Fleet
   private:
     struct Shard
     {
-        remote::RemoteServer server;
         ChipletScheduler scheduler;
         bool draining = false;
         bool retired = false;

@@ -13,6 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "collab/session.hpp"
 #include "core/pipelines_baseline.hpp"
 #include "core/qvr_system.hpp"
@@ -222,6 +226,83 @@ expectResultsIdentical(const collab::SessionResult &a,
     ASSERT_EQ(a.shardUtilisation, b.shardUtilisation);
 }
 
+/** Nearest-rank percentile, recomputed independently of the
+ *  session's telemetry fold. */
+Seconds
+nearestRankOf(std::vector<Seconds> xs, double q)
+{
+    if (xs.empty())
+        return 0.0;
+    std::sort(xs.begin(), xs.end());
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(xs.size())));
+    return xs[std::clamp<std::size_t>(rank, 1, xs.size()) - 1];
+}
+
+/**
+ * An independent check of the session's telemetry fold: every
+ * summary accessor against PipelineResult's own helpers over the
+ * stored per-user frames, and every SLO summary (per user, and the
+ * fleet-wide pooled percentiles) against nearest-rank numbers
+ * recomputed from those frames.  Bitwise: the fold sums in frame and
+ * user order, as the helpers do.
+ */
+void
+expectSummariesMatchFrames(const collab::SessionResult &r)
+{
+    ASSERT_FALSE(r.perUser.empty());
+    double fps = 0.0, mtp = 0.0, comp = 0.0, bytes = 0.0;
+    double worst = std::numeric_limits<double>::infinity();
+    for (const PipelineResult &u : r.perUser) {
+        fps += u.meanFps();
+        worst = std::min(worst, u.meanFps());
+        mtp += u.meanMtp();
+        comp += u.fpsCompliance();
+        bytes += u.meanTransmittedBytes();
+    }
+    const double n = static_cast<double>(r.perUser.size());
+    EXPECT_FALSE(r.aggregate.enabled);
+    EXPECT_EQ(r.meanFps(), fps / n);
+    EXPECT_EQ(r.worstUserFps(), worst);
+    EXPECT_EQ(r.meanMtp(), mtp / n);
+    EXPECT_EQ(r.fpsCompliance(), comp / n);
+    EXPECT_EQ(r.aggregateBytesPerFrame(), bytes);
+
+    const bool served = r.config.design == collab::SessionDesign::Served;
+    ASSERT_EQ(r.perUserSlo.size(), served ? r.perUser.size() : 0u);
+    std::vector<Seconds> pooled;
+    for (std::size_t u = 0; u < r.perUser.size(); u++) {
+        const auto &frames = r.perUser[u].frames;
+        std::vector<Seconds> waits;
+        std::uint64_t shed = 0, downgraded = 0, late = 0;
+        for (const FrameStats &f : frames) {
+            if (!f.serveAdmitted) {
+                shed++;
+                continue;
+            }
+            waits.push_back(f.serveQueueWait);
+            downgraded += f.degradationLevel > 0 ? 1 : 0;
+            late += f.serveDeadlineMet ? 0 : 1;
+        }
+        pooled.insert(pooled.end(), waits.begin(), waits.end());
+        if (!served)
+            continue;
+        const collab::UserSloStats &slo = r.perUserSlo[u];
+        EXPECT_EQ(slo.shedFrames, shed) << "user " << u;
+        EXPECT_EQ(slo.downgradedFrames, downgraded) << "user " << u;
+        EXPECT_EQ(slo.deadlineMissRate,
+                  static_cast<double>(late) /
+                      static_cast<double>(frames.size()))
+            << "user " << u;
+        EXPECT_EQ(slo.p50QueueWait, nearestRankOf(waits, 0.50))
+            << "user " << u;
+        EXPECT_EQ(slo.p99QueueWait, nearestRankOf(waits, 0.99))
+            << "user " << u;
+    }
+    EXPECT_EQ(r.aggregate.p50QueueWait, nearestRankOf(pooled, 0.50));
+    EXPECT_EQ(r.aggregate.p99QueueWait, nearestRankOf(pooled, 0.99));
+}
+
 TEST_P(ServedSessionCrosscheck, EventEngineMatchesLockstepOracle)
 {
     collab::SessionConfig cfg = GetParam();
@@ -234,12 +315,15 @@ TEST_P(ServedSessionCrosscheck, EventEngineMatchesLockstepOracle)
 
 // Aggregate telemetry must equal the numbers the full-telemetry
 // accessors compute — bitwise, because the accumulators replicate
-// meanOver's warm-up skip and summation order.
+// meanOver's warm-up skip and summation order.  Both runs summarise
+// through the same fold, so the full run is also checked against
+// the stored frames themselves.
 TEST_P(ServedSessionCrosscheck, AggregateTelemetryMatchesFull)
 {
     collab::SessionConfig cfg = GetParam();
     cfg.engine = collab::SessionEngine::Lockstep;
     const collab::SessionResult full = collab::runSession(cfg);
+    expectSummariesMatchFrames(full);
     cfg.engine = collab::SessionEngine::Event;
     cfg.aggregateTelemetry = true;
     const collab::SessionResult agg = collab::runSession(cfg);
@@ -267,6 +351,23 @@ TEST_P(ServedSessionCrosscheck, AggregateTelemetryMatchesFull)
     }
     EXPECT_EQ(agg.aggregate.shedFrames, shed);
     EXPECT_EQ(agg.aggregate.downgradedFrames, downgraded);
+    EXPECT_EQ(agg.aggregate.p50QueueWait, full.aggregate.p50QueueWait);
+    EXPECT_EQ(agg.aggregate.p99QueueWait, full.aggregate.p99QueueWait);
+}
+
+// The same independent check on the two designs that never see the
+// serving stack: Qvr frames take the call-order chiplet pool, Static
+// frames prefetch the whole background.
+TEST(SessionTelemetryFold, QvrAndStaticSummariesMatchFrames)
+{
+    for (const auto design :
+         {collab::SessionDesign::Qvr, collab::SessionDesign::Static}) {
+        collab::SessionConfig cfg;
+        cfg.design = design;
+        cfg.users = 3;
+        cfg.numFrames = 50;
+        expectSummariesMatchFrames(collab::runSession(cfg));
+    }
 }
 
 std::vector<collab::SessionConfig>

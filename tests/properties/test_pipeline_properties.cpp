@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "core/qvr_system.hpp"
@@ -15,7 +16,10 @@ namespace qvr::core
 namespace
 {
 
-using Params = std::tuple<const char *, const char *>;
+/** (benchmark, network).  std::string, not const char *: GoogleTest
+ *  prints a tuple's char pointers as addresses, which would put
+ *  per-build bytes into the CTest names. */
+using Params = std::tuple<std::string, std::string>;
 
 net::ChannelConfig
 channelByName(const std::string &name)

@@ -120,7 +120,7 @@ Shared::Shared(const SessionConfig &c,
                const core::PipelineConfig &pipeline,
                const remote::ServerConfig &request_cfg)
     : cfg(&c), pc(pipeline), geometry(pc.display(), pc.mar),
-      oracle(geometry), gpuModel(pc.gpuConfig, pc.gpuCost),
+      gpuModel(pc.gpuConfig, pc.gpuCost),
       requestServer(request_cfg), codec(pc.codecConfig),
       serverPool(std::max<std::uint32_t>(
           1, c.totalChiplets / c.chipletsPerRequest)),
@@ -234,7 +234,7 @@ prepareServedFrame(Shared &sh, UserState &u, std::size_t user_index,
     p.gaze = Vec2{frame.motionSeen.gaze.x, frame.motionSeen.gaze.y};
     p.decision = u.liwc->selectEccentricity(
         frame.motionDelta, frame.totalTriangles() * 2, p.gaze);
-    p.resolved = sh.oracle.resolve(p.decision.e1, p.gaze);
+    p.resolved = sh.geometry.resolve(p.decision.e1, p.gaze);
     s.e1 = p.resolved.partition.e1;
     s.e2 = p.resolved.partition.e2;
 
@@ -320,9 +320,7 @@ finishServedFrame(Shared &sh, UserState &u, ServedPending &p,
         s.peripheryQuality = o.qualityFactor;
         s.gpuBusy = s.tLocalRender;
         s.renderedResolutionFraction =
-            sh.geometry.linearResolutionFraction(
-                p.resolved.partition) *
-            o.resolutionScale;
+            p.resolved.linearResolution * o.resolutionScale;
     } else {
         const double lp = sh.cfg->shedPeripheryScale;
         gpu::RenderJob fallback = p.remoteJob;
@@ -334,10 +332,7 @@ finishServedFrame(Shared &sh, UserState &u, ServedPending &p,
         all_decoded = u.gpu.serve(p.localDone, t_fallback);
         s.localFallback = true;
         s.gpuBusy = s.tLocalRender + t_fallback;
-        s.renderedResolutionFraction =
-            sh.geometry.linearResolutionFraction(
-                p.resolved.partition) *
-            lp;
+        s.renderedResolutionFraction = p.resolved.linearResolution * lp;
     }
     s.tRemoteBranch = std::max(0.0, all_decoded - p.cpuDone);
 
@@ -348,10 +343,12 @@ finishServedFrame(Shared &sh, UserState &u, ServedPending &p,
     pp.centerY = display.height / 2.0 + p.gaze.y * ppd;
     pp.foveaRadius = p.resolved.partition.e1 * ppd;
     pp.middleRadius = p.resolved.partition.e2 * ppd;
-    const core::UcaTimingResult eye0 = u.uca.processFrame(
-        display.width, display.height, pp, p.localDone, all_decoded);
-    const core::UcaTimingResult eye1 = u.uca.processFrame(
-        display.width, display.height, pp, p.localDone, all_decoded);
+    const core::TileCensus tiles =
+        u.uca.census(display.width, display.height, pp);
+    const core::UcaTimingResult eye0 =
+        u.uca.schedule(tiles, p.localDone, all_decoded);
+    const core::UcaTimingResult eye1 =
+        u.uca.schedule(tiles, p.localDone, all_decoded);
     const Seconds done = std::max(eye0.done, eye1.done);
     s.tComposition = (eye0.busy + eye1.busy) / 2.0;
 

@@ -129,8 +129,9 @@ struct Shared
     const SessionConfig *cfg;
     /** Models and stage latencies of the session's benchmark. */
     core::PipelineConfig pc;
+    /** Also the session's one partition cache: every user's LIWC
+     *  and phase A resolve through it. */
     foveation::LayerGeometry geometry;
-    foveation::PartitionOracle oracle;
     gpu::MobileGpuModel gpuModel;
     remote::RemoteServer requestServer;  // one request's chiplet share
     net::VideoCodec codec;
@@ -151,7 +152,7 @@ struct ServedPending
 {
     core::FrameStats s;
     Vec2 gaze;
-    foveation::PartitionOracle::Resolved resolved;
+    foveation::LayerGeometry::Resolved resolved;
     core::LiwcDecision decision;
     gpu::RenderJob remoteJob;
     serve::RenderRequest request;

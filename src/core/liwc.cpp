@@ -142,7 +142,7 @@ Liwc::Liwc(const LiwcConfig &cfg,
            double initial_gpu_rate, BitsPerSecond initial_throughput,
            double initial_bpp, double initial_e1,
            double center_concentration)
-    : cfg_(cfg), geometry_(&geometry), oracle_(geometry), codec_(cfg),
+    : cfg_(cfg), geometry_(&geometry), codec_(cfg),
       predictor_(initial_gpu_rate, initial_throughput, initial_bpp),
       table_(std::size_t{1} << cfg.tableDepthLog2),
       e1_(geometry.clampE1(initial_e1)),
@@ -187,7 +187,7 @@ Liwc::selectEccentricity(const motion::MotionDelta &delta,
     d.predictedLocal =
         predictor_.predictLocal(setup_triangles, fovea_frac);
 
-    const auto &resolved = oracle_.resolve(e1_, gaze);
+    const auto &resolved = geometry_->resolve(e1_, gaze);
     d.predictedRemote =
         predictor_.predictRemote(resolved.pixels.peripheryPixels());
 

@@ -209,8 +209,8 @@ class Liwc
     std::size_t slot(std::uint32_t motion_index, int delta_tag) const;
 
     LiwcConfig cfg_;
+    /** Also the partition cache selections resolve through. */
     const foveation::LayerGeometry *geometry_;
-    foveation::PartitionOracle oracle_;
     MotionCodec codec_;
     LatencyPredictor predictor_;
     std::vector<Half> table_;

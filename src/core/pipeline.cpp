@@ -134,7 +134,6 @@ PipelineResult::faultCounters() const
 
 Pipeline::Pipeline(const PipelineConfig &cfg)
     : geometry_(cfg.display(), cfg.mar),
-      oracle_(geometry_),
       gpuModel_(cfg.gpuConfig, cfg.gpuCost),
       server_(cfg.serverConfig),
       codec_(cfg.codecConfig),

@@ -236,9 +236,10 @@ class Pipeline
 
     const PipelineConfig &cfg() const { return cfg_; }
 
-    /** Shared component models (constructed from cfg). */
+    /** Shared component models (constructed from cfg).  The
+     *  geometry carries the pipeline's one partition cache, which
+     *  its LIWC resolves through too. */
     foveation::LayerGeometry geometry_;
-    foveation::PartitionOracle oracle_;
     gpu::MobileGpuModel gpuModel_;
     remote::RemoteServer server_;
     net::VideoCodec codec_;

@@ -182,7 +182,7 @@ FoveatedPipeline::simulateFrame(const scene::FrameWorkload &frame,
         if (liwc_)
             liwc_->overrideE1(e1);
     }
-    const auto &resolved = oracle_.resolve(e1, gaze);
+    const auto &resolved = geometry_.resolve(e1, gaze);
     s.e1 = resolved.partition.e1;
     s.e2 = resolved.partition.e2;
 
@@ -465,13 +465,14 @@ FoveatedPipeline::simulateFrame(const scene::FrameWorkload &frame,
             staleErrorDeg_ = 0.0;
         }
 
-        // Both eyes tile through the same two UCA instances.
-        UcaTimingResult eye0 = uca_.processFrame(
-            display.width, display.height, pp, local_done,
-            periphery_ready);
-        UcaTimingResult eye1 = uca_.processFrame(
-            display.width, display.height, pp, local_done,
-            periphery_ready);
+        // Both eyes tile the same census through the same two UCA
+        // instances.
+        const TileCensus tiles =
+            uca_.census(display.width, display.height, pp);
+        const UcaTimingResult eye0 =
+            uca_.schedule(tiles, local_done, periphery_ready);
+        const UcaTimingResult eye1 =
+            uca_.schedule(tiles, local_done, periphery_ready);
         done = std::max(eye0.done, eye1.done);
         s.tComposition = (eye0.busy + eye1.busy) / 2.0;
         s.tAtw = 0.0;  // fused into the unified pass
@@ -481,8 +482,7 @@ FoveatedPipeline::simulateFrame(const scene::FrameWorkload &frame,
     s.displayTime = done + cfg().displayLatency;
     s.mtpLatency = cfg().sensorLatency + (s.displayTime - issue_time);
     s.gpuBusy = s.tLocalRender + gpu_post + t_local_periphery;
-    s.renderedResolutionFraction =
-        geometry_.linearResolutionFraction(resolved.partition);
+    s.renderedResolutionFraction = resolved.linearResolution;
     lastFrameDone_ = done;
 
     const bool liwc_on =

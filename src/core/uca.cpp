@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/log.hpp"
 
@@ -233,47 +235,169 @@ UcaTimingModel::UcaTimingModel(const UcaConfig &cfg)
     QVR_REQUIRE(cfg.tileSize > 0, "tile size must be positive");
 }
 
+namespace
+{
+
+/** Relative margin of the squared-distance tests: far above the
+ *  rounding of hypot and of a two-term sum of squares. */
+constexpr double kMargin = 1e-9;
+
+/**
+ * Where radius r (known as r^2 = @p d2) lies against threshold @p t:
+ * -1 below, +1 above, 0 when too close to call with squares (the
+ * caller then asks classifyTile).
+ */
+int
+side(double d2, double t)
+{
+    if (t <= 0.0)
+        return t < 0.0 ? 1 : 0;  // r >= 0 > t; r against 0 is a tie
+    const double t2 = t * t;
+    if (d2 < t2 * (1.0 - kMargin))
+        return -1;
+    if (d2 > t2 * (1.0 + kMargin))
+        return 1;
+    return 0;
+}
+
+/** Squared distances from a centre coordinate to a tile's span
+ *  [lo, hi]: nearest point (classifyTile's clamp) and far edge. */
+struct Span2
+{
+    double near2;
+    double far2;
+};
+
+Span2
+span2(double c, double lo, double hi)
+{
+    const double n = clamp(c, lo, hi) - c;
+    const double a = lo - c;
+    const double b = hi - c;
+    return Span2{n * n, std::max(a * a, b * b)};
+}
+
+}  // namespace
+
+TileCensus
+UcaTimingModel::census(std::int32_t width, std::int32_t height,
+                       const PixelPartition &p) const
+{
+    TileCensus out;
+    if (width <= 0 || height <= 0)
+        return out;
+    const auto ts = static_cast<std::int32_t>(cfg_.tileSize);
+    const std::int32_t cols = (width + ts - 1) / ts;
+    const std::int32_t rows = (height + ts - 1) / ts;
+
+    // classifyTile's thresholds, computed as it computes them.
+    const double half_band = p.blendBand / 2.0;
+    const double fovea_hi = p.foveaRadius + half_band;
+    const double fovea_lo = p.foveaRadius - half_band;
+    const double middle_hi = p.middleRadius + half_band;
+    const double middle_lo = p.middleRadius - half_band;
+    // Beyond `outer` (by the margin) a tile misses both rings and lies
+    // outside the fovea: PeripheryInterior.  Within `inner` it misses
+    // both rings and lies inside the fovea: FoveaInterior.
+    const double outer = std::max({fovea_hi, middle_hi, p.foveaRadius});
+    const double inner = std::min({fovea_lo, middle_lo, p.foveaRadius});
+    // A non-finite centre has no bulk runs (their column bounds would
+    // be NaN); every tile is then classified one by one.
+    const bool bulk = std::isfinite(p.centerX) && std::isfinite(p.centerY);
+
+    const auto classify = [&](std::int32_t k, std::int32_t y0,
+                              const Span2 &row) {
+        const Span2 col = span2(p.centerX, k * ts, k * ts + ts);
+        const double rmin2 = col.near2 + row.near2;
+        const double rmax2 = col.far2 + row.far2;
+        const int a = side(rmin2, fovea_hi);
+        const int b = side(rmax2, fovea_lo);
+        const int c = side(rmin2, middle_hi);
+        const int d = side(rmax2, middle_lo);
+        const int e = side(rmax2, p.foveaRadius);
+        if (a == 0 || b == 0 || c == 0 || d == 0 || e == 0)
+            return classifyTile(p, k * ts, y0, ts);
+        if ((a < 0 && b > 0) || (c < 0 && d > 0))
+            return TileClass::Border;
+        return e < 0 ? TileClass::FoveaInterior
+                     : TileClass::PeripheryInterior;
+    };
+    const auto column = [](double v, std::int32_t lo, std::int32_t hi) {
+        return static_cast<std::int32_t>(clamp(v, 1.0 * lo, 1.0 * hi));
+    };
+
+    for (std::int32_t j = 0; j < rows; j++) {
+        const std::int32_t y0 = j * ts;
+        const Span2 row = span2(p.centerY, y0, y0 + ts);
+
+        // Columns [lo, hi) may reach inside the outer ring: a run
+        // around the centre, widened by a tile on each side so
+        // rounding never drops a near tile.  Columns [ilo, ihi) lie
+        // wholly inside the inner ring, narrowed by a tile on each
+        // side.  Both bulk runs are counted without classification.
+        std::int32_t lo = 0, hi = bulk && outer > 0.0 ? 0 : cols;
+        const double w2 = outer * outer * (1.0 + kMargin) - row.near2;
+        if (bulk && outer > 0.0 && w2 >= 0.0) {
+            const double w = std::sqrt(w2);
+            lo = column(std::floor((p.centerX - w) / ts) - 1.0, 0, cols);
+            hi = column(std::ceil((p.centerX + w) / ts) + 1.0, lo, cols);
+        }
+        std::int32_t ilo = lo, ihi = lo;
+        const double u2 = inner * inner * (1.0 - kMargin) - row.far2;
+        if (bulk && inner > 0.0 && u2 > 0.0) {
+            const double u = std::sqrt(u2);
+            ilo = column(std::ceil((p.centerX - u) / ts) + 1.0, lo, hi);
+            ihi = column(std::floor((p.centerX + u) / ts) - 1.0, ilo, hi);
+        }
+        out.peripheryInterior +=
+            static_cast<std::uint32_t>(cols - (hi - lo));
+        out.foveaInterior += static_cast<std::uint32_t>(ihi - ilo);
+
+        for (const auto &[k0, k1] :
+             {std::pair{lo, ilo}, std::pair{ihi, hi}}) {
+            for (std::int32_t k = k0; k < k1; k++) {
+                switch (classify(k, y0, row)) {
+                  case TileClass::Border:
+                    out.border++;
+                    break;
+                  case TileClass::FoveaInterior:
+                    out.foveaInterior++;
+                    break;
+                  case TileClass::PeripheryInterior:
+                    out.peripheryInterior++;
+                    break;
+                }
+            }
+        }
+    }
+    return out;
+}
+
 UcaTimingResult
-UcaTimingModel::processFrame(std::int32_t width, std::int32_t height,
-                             const PixelPartition &partition,
-                             Seconds fovea_ready,
-                             Seconds periphery_ready)
+UcaTimingModel::schedule(const TileCensus &census, Seconds fovea_ready,
+                         Seconds periphery_ready)
 {
     UcaTimingResult result;
-    const auto ts = static_cast<std::int32_t>(cfg_.tileSize);
+    result.borderTiles = census.border;
+    result.interiorTiles = census.foveaInterior + census.peripheryInterior;
 
     // Two eligibility classes; serve the earlier-eligible class
     // first (the "start ATW on non-overlapping tiles earlier"
-    // optimisation of Section 4.2).
+    // optimisation of Section 4.2).  Periphery-only tiles do not
+    // wait for local rendering.
     struct Bucket
     {
         Seconds ready;
         std::uint32_t tiles = 0;
         std::uint64_t cycles = 0;
     };
-    Bucket periphery_only{periphery_ready};
-    Bucket needs_fovea{std::max(fovea_ready, periphery_ready)};
-
-    for (std::int32_t y = 0; y < height; y += ts) {
-        for (std::int32_t x = 0; x < width; x += ts) {
-            const TileClass cls =
-                classifyTile(partition, x, y, ts);
-            const Cycles cost = (cls == TileClass::Border)
-                                    ? cfg_.borderTileCycles
-                                    : cfg_.interiorTileCycles;
-            if (cls == TileClass::Border) {
-                result.borderTiles++;
-            } else {
-                result.interiorTiles++;
-            }
-            // Periphery-only tiles do not wait for local rendering.
-            Bucket &b = (cls == TileClass::PeripheryInterior)
-                            ? periphery_only
-                            : needs_fovea;
-            b.tiles++;
-            b.cycles += cost;
-        }
-    }
+    Bucket periphery_only{periphery_ready, census.peripheryInterior,
+                          census.peripheryInterior *
+                              cfg_.interiorTileCycles};
+    Bucket needs_fovea{std::max(fovea_ready, periphery_ready),
+                       census.border + census.foveaInterior,
+                       census.border * cfg_.borderTileCycles +
+                           census.foveaInterior * cfg_.interiorTileCycles};
 
     Seconds done = 0.0;
     Seconds busy = 0.0;
@@ -300,6 +424,16 @@ UcaTimingModel::processFrame(std::int32_t width, std::int32_t height,
     result.done = done;
     result.busy = busy;
     return result;
+}
+
+UcaTimingResult
+UcaTimingModel::processFrame(std::int32_t width, std::int32_t height,
+                             const PixelPartition &partition,
+                             Seconds fovea_ready,
+                             Seconds periphery_ready)
+{
+    return schedule(census(width, height, partition), fovea_ready,
+                    periphery_ready);
 }
 
 UcaTimingResult

@@ -143,6 +143,15 @@ struct UcaConfig
     double powerW = 0.094;
 };
 
+/** Tile counts of one eye's frame, by the class classifyTile gives
+ *  each tile. */
+struct TileCensus
+{
+    std::uint32_t border = 0;
+    std::uint32_t foveaInterior = 0;
+    std::uint32_t peripheryInterior = 0;
+};
+
 /** Outcome of scheduling one eye's tiles onto the UCA instances. */
 struct UcaTimingResult
 {
@@ -165,6 +174,25 @@ class UcaTimingModel
 
     const UcaConfig &config() const { return cfg_; }
 
+    /**
+     * Count the frame's tiles by class, exactly as classifyTile
+     * would one by one.  Both eyes of a frame share one census, so a
+     * frame computes it once: per tile row, the tiles wholly beyond
+     * the outer blend ring and those wholly inside the inner one are
+     * counted in bulk; the rest are decided on squared distances when
+     * the margin is clear and by classifyTile otherwise.
+     */
+    TileCensus census(std::int32_t width, std::int32_t height,
+                      const PixelPartition &partition) const;
+
+    /** Schedule one eye's tiles, counted by @p census, onto the
+     *  instances; eyes scheduled in turn see each other's
+     *  reservations. */
+    UcaTimingResult schedule(const TileCensus &census,
+                             Seconds fovea_ready,
+                             Seconds periphery_ready);
+
+    /** One eye: schedule(census(width, height, partition), ...). */
     UcaTimingResult processFrame(std::int32_t width, std::int32_t height,
                                  const PixelPartition &partition,
                                  Seconds fovea_ready,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/log.hpp"
 
@@ -14,8 +15,11 @@ namespace
 /**
  * Area of the intersection of a disc (centre (cx, cy), radius r) with
  * the rectangle [0, w] x [0, h], by integrating the vertical extent of
- * the disc across x with Simpson's rule.  512 panels give relative
- * error below 1e-6 for all the radii this module uses.
+ * the disc across x with Simpson's rule.  Against a 2^18-panel
+ * midpoint sum over radii 5-85 deg and five gazes on 1920x2160 and
+ * 1280x1440, 512 panels are off by up to 4.3e-5 relative, worst
+ * where the screen edges clip the disc (radius 54.5 deg at gaze
+ * (0, -30 deg)); test_layers.cpp pins a 5e-5 bound.
  */
 double
 discRectArea(double cx, double cy, double r, double w, double h)
@@ -48,6 +52,37 @@ discRectArea(double cx, double cy, double r, double w, double h)
     return sum * dx / 3.0;
 }
 
+/** pixelCounts' arithmetic on its two disc areas (native pixels). */
+LayerPixels
+splitLayers(double total, double fovea_native, double inner2_native,
+            double s1, double s2)
+{
+    LayerPixels out;
+    out.foveaPixels = fovea_native;
+    // Middle layer constraint binds at its inner edge e1; outer at e2.
+    out.middleFactor = s1;
+    out.outerFactor = s2;
+
+    const double middle_native =
+        std::max(0.0, inner2_native - fovea_native);
+    const double outer_native = std::max(0.0, total - inner2_native);
+    out.middlePixels = middle_native / (s1 * s1);
+    out.outerPixels = outer_native / (s2 * s2);
+    return out;
+}
+
+/** linearResolutionFraction's arithmetic on the same two areas. */
+double
+linearFraction(double total, double fovea_native, double inner2_native,
+               double s1, double s2)
+{
+    const double middle_native =
+        std::max(0.0, inner2_native - fovea_native);
+    const double outer_native = std::max(0.0, total - inner2_native);
+    return (fovea_native + middle_native / s1 + outer_native / s2) /
+           total;
+}
+
 }  // namespace
 
 double
@@ -76,27 +111,12 @@ LayerGeometry::pixelCounts(const LayerPartition &partition) const
     QVR_REQUIRE(partition.e1 > 0.0, "e1 must be positive");
     QVR_REQUIRE(partition.e2 >= partition.e1, "e2 must be >= e1");
 
-    const double total =
-        static_cast<double>(display_.pixelCount());
-    const double fovea_native =
-        discScreenAreaPixels(display_, partition.gaze, partition.e1);
-    const double inner2_native =
-        discScreenAreaPixels(display_, partition.gaze, partition.e2);
-
-    LayerPixels out;
-    out.foveaPixels = fovea_native;
-    // Middle layer constraint binds at its inner edge e1; outer at e2.
-    out.middleFactor = mar_.samplingFactor(partition.e1, display_);
-    out.outerFactor = mar_.samplingFactor(partition.e2, display_);
-
-    const double middle_native =
-        std::max(0.0, inner2_native - fovea_native);
-    const double outer_native = std::max(0.0, total - inner2_native);
-    out.middlePixels =
-        middle_native / (out.middleFactor * out.middleFactor);
-    out.outerPixels =
-        outer_native / (out.outerFactor * out.outerFactor);
-    return out;
+    return splitLayers(
+        static_cast<double>(display_.pixelCount()),
+        discScreenAreaPixels(display_, partition.gaze, partition.e1),
+        discScreenAreaPixels(display_, partition.gaze, partition.e2),
+        mar_.samplingFactor(partition.e1, display_),
+        mar_.samplingFactor(partition.e2, display_));
 }
 
 double
@@ -140,19 +160,11 @@ LayerGeometry::renderedResolutionFraction(const LayerPartition &p) const
 double
 LayerGeometry::linearResolutionFraction(const LayerPartition &p) const
 {
-    const double total = static_cast<double>(display_.pixelCount());
-    const double fovea_native =
-        discScreenAreaPixels(display_, p.gaze, p.e1);
-    const double inner2_native =
-        discScreenAreaPixels(display_, p.gaze, p.e2);
-    const double middle_native =
-        std::max(0.0, inner2_native - fovea_native);
-    const double outer_native = std::max(0.0, total - inner2_native);
-
-    const double s1 = mar_.samplingFactor(p.e1, display_);
-    const double s2 = mar_.samplingFactor(p.e2, display_);
-    return (fovea_native + middle_native / s1 + outer_native / s2) /
-           total;
+    return linearFraction(static_cast<double>(display_.pixelCount()),
+                          discScreenAreaPixels(display_, p.gaze, p.e1),
+                          discScreenAreaPixels(display_, p.gaze, p.e2),
+                          mar_.samplingFactor(p.e1, display_),
+                          mar_.samplingFactor(p.e2, display_));
 }
 
 double
@@ -161,13 +173,8 @@ LayerGeometry::clampE1(double e1) const
     return clamp(e1, kMinE1, display_.maxEccentricity());
 }
 
-PartitionOracle::PartitionOracle(const LayerGeometry &geometry)
-    : geometry_(&geometry)
-{
-}
-
-const PartitionOracle::Resolved &
-PartitionOracle::resolve(double e1, Vec2 gaze) const
+const LayerGeometry::Resolved &
+LayerGeometry::resolve(double e1, Vec2 gaze) const
 {
     const double e1q = std::round(e1 * 4.0) / 4.0;
     const auto gx = static_cast<std::int64_t>(std::round(gaze.x));
@@ -185,15 +192,47 @@ PartitionOracle::resolve(double e1, Vec2 gaze) const
     auto it = cache_.find(key);
     if (it != cache_.end())
         return it->second;
-
-    Resolved r;
     const Vec2 gq{static_cast<double>(gx), static_cast<double>(gy)};
-    r.partition.e1 = geometry_->clampE1(e1q);
-    r.partition.gaze = gq;
-    r.partition.e2 =
-        geometry_->selectOptimalE2(r.partition.e1, gq);
-    r.pixels = geometry_->pixelCounts(r.partition);
-    return cache_.emplace(key, r).first->second;
+    return cache_.emplace(key, solve(clampE1(e1q), gq)).first->second;
+}
+
+LayerGeometry::Resolved
+LayerGeometry::solve(double e1, Vec2 gaze) const
+{
+    const double total = static_cast<double>(display_.pixelCount());
+    const double e_max = display_.maxEccentricity();
+    const double fovea = discScreenAreaPixels(display_, gaze, e1);
+    const double s1 = mar_.samplingFactor(e1, display_);
+
+    // selectOptimalE2's search and pixelCounts' cost, bit for bit,
+    // with the fovea disc integrated once instead of per candidate.
+    double best_e2 = e_max;
+    double best_inner2 = -1.0;  // not integrated yet
+    if (e1 < e_max) {
+        double best_cost = std::numeric_limits<double>::infinity();
+        for (double e2 = e1 + 0.5; e2 <= e_max + 1e-9; e2 += 0.5) {
+            const double cand = std::min(e2, e_max);
+            const double inner2 = discScreenAreaPixels(display_, gaze, cand);
+            const double cost =
+                splitLayers(total, fovea, inner2, s1,
+                            mar_.samplingFactor(cand, display_))
+                    .peripheryPixels();
+            if (cost < best_cost) {
+                best_cost = cost;
+                best_e2 = cand;
+                best_inner2 = inner2;
+            }
+        }
+    }
+    if (best_inner2 < 0.0)  // no candidate: e2 = e_max
+        best_inner2 = discScreenAreaPixels(display_, gaze, best_e2);
+
+    const double s2 = mar_.samplingFactor(best_e2, display_);
+    Resolved r;
+    r.partition = LayerPartition{e1, best_e2, gaze};
+    r.pixels = splitLayers(total, fovea, best_inner2, s1, s2);
+    r.linearResolution = linearFraction(total, fovea, best_inner2, s1, s2);
+    return r;
 }
 
 }  // namespace qvr::foveation

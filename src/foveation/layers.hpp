@@ -66,7 +66,8 @@ double discScreenAreaPixels(const DisplayConfig &display, Vec2 gaze,
                             double radius_deg);
 
 /**
- * Geometry/accounting engine binding a display and a MAR model.
+ * Geometry/accounting engine binding a display and a MAR model, with
+ * the partition cache every per-frame query goes through.
  */
 class LayerGeometry
 {
@@ -112,41 +113,69 @@ class LayerGeometry
     /** Smallest legal fovea radius (classic 5-degree fovea). */
     static constexpr double kMinE1 = 5.0;
 
-  private:
-    DisplayConfig display_;
-    MarModel mar_;
-};
-
-/**
- * Memoising front-end for per-frame partition queries.  The
- * simulation asks for (e1, gaze) -> (optimal e2, pixel accounting)
- * thousands of times per run with heavily repeated, coarsely
- * quantised arguments; hardware would realise the same function as a
- * small lookup structure.  Quantisation: e1 to 0.25 deg, gaze to
- * 1 deg — both below the tuning granularity of the system.
- */
-class PartitionOracle
-{
-  public:
-    explicit PartitionOracle(const LayerGeometry &geometry);
-
-    /** Resolved partition plus pixel accounting. */
+    /** A resolved partition plus the accounting frames read. */
     struct Resolved
     {
         LayerPartition partition;
-        LayerPixels pixels;
+        LayerPixels pixels;              ///< pixelCounts(partition)
+        double linearResolution = 1.0;   ///< linearResolutionFraction
     };
 
-    /** Quantised, cached equivalent of selectOptimalE2+pixelCounts. */
+    /**
+     * Quantised, memoised equivalent of clampE1 + selectOptimalE2 +
+     * pixelCounts + linearResolutionFraction, bit for bit.  The
+     * simulation asks for (e1, gaze) thousands of times per run with
+     * heavily repeated, coarsely quantised arguments; hardware would
+     * realise the same function as a small lookup structure.
+     * Quantisation: e1 to 0.25 deg, gaze to 1 deg — both below the
+     * tuning granularity of the system.  A miss integrates the fovea
+     * disc once for the whole e2 search.
+     *
+     * The cache is per-cell mutable state: everything that holds the
+     * geometry (a pipeline and its LIWC, every user of a session)
+     * shares it, so a geometry must not be shared across threads.
+     * References stay valid for the geometry's lifetime.
+     */
     const Resolved &resolve(double e1, Vec2 gaze) const;
-
-    const LayerGeometry &geometry() const { return *geometry_; }
 
     std::size_t cacheSize() const { return cache_.size(); }
 
   private:
-    const LayerGeometry *geometry_;
+    /** resolve's miss path at an already quantised (e1, gaze). */
+    Resolved solve(double e1, Vec2 gaze) const;
+
+    DisplayConfig display_;
+    MarModel mar_;
     mutable std::unordered_map<std::uint64_t, Resolved> cache_;
+};
+
+/**
+ * Handle on a geometry's partition cache (LayerGeometry::resolve),
+ * for callers that name the cache apart from the geometry.  Every
+ * handle on one geometry shares its one cache.
+ */
+class PartitionOracle
+{
+  public:
+    explicit PartitionOracle(const LayerGeometry &geometry)
+        : geometry_(&geometry)
+    {
+    }
+
+    using Resolved = LayerGeometry::Resolved;
+
+    const Resolved &
+    resolve(double e1, Vec2 gaze) const
+    {
+        return geometry_->resolve(e1, gaze);
+    }
+
+    const LayerGeometry &geometry() const { return *geometry_; }
+
+    std::size_t cacheSize() const { return geometry_->cacheSize(); }
+
+  private:
+    const LayerGeometry *geometry_;
 };
 
 }  // namespace qvr::foveation

@@ -1,5 +1,7 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
+
 #include "common/log.hpp"
 
 namespace qvr::sim
@@ -12,7 +14,8 @@ EventQueue::schedule(Seconds when, std::function<void()> fn, Priority prio)
                 " < ", now_);
     QVR_REQUIRE(static_cast<bool>(fn), "scheduling empty callback");
     const EventId id = nextId_++;
-    heap_.push(Record{when, prio, id, std::move(fn)});
+    heap_.push_back(Record{when, prio, id, std::move(fn)});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
     live_.insert(id);
     return id;
 }
@@ -40,8 +43,10 @@ EventQueue::deschedule(EventId id)
 void
 EventQueue::popCancelled()
 {
-    while (!heap_.empty() && cancelled_.erase(heap_.top().id) > 0)
-        heap_.pop();
+    while (!heap_.empty() && cancelled_.erase(heap_.front().id) > 0) {
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
+        heap_.pop_back();
+    }
 }
 
 Seconds
@@ -57,14 +62,15 @@ EventQueue::runUntil(Seconds limit)
         popCancelled();
         if (heap_.empty())
             break;
-        if (heap_.top().when > limit) {
+        if (heap_.front().when > limit) {
             now_ = limit;
             return now_;
         }
         // Move the record out before dispatch: the callback may
         // schedule new events and reshape the heap.
-        Record rec = heap_.top();
-        heap_.pop();
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
+        Record rec = std::move(heap_.back());
+        heap_.pop_back();
         live_.erase(rec.id);
         now_ = rec.when;
         dispatched_++;

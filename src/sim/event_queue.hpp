@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <unordered_set>
 #include <vector>
 
@@ -104,7 +103,9 @@ class EventQueue
 
     void popCancelled();
 
-    std::priority_queue<Record, std::vector<Record>, Later> heap_;
+    /** Binary heap under Later (std::push_heap / std::pop_heap), so
+     *  runUntil can move the next record out instead of copying. */
+    std::vector<Record> heap_;
     /** Scheduled ids that have neither fired nor been cancelled.
      *  Hash sets keep deschedule()/popCancelled() O(1) — million-
      *  event fleet sweeps cannot afford the linear scan these were

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/pipeline_foveated.hpp"
 #include "core/pipelines_baseline.hpp"
 #include "core/qvr_system.hpp"
 
@@ -30,6 +31,34 @@ config(const std::string &bench)
     ExperimentSpec spec;
     spec.benchmark = bench;
     return spec.toConfig();
+}
+
+/** A Q-VR pipeline that shows its geometry (its partition cache). */
+class GeometryProbe : public FoveatedPipeline
+{
+  public:
+    using FoveatedPipeline::FoveatedPipeline;
+
+    const foveation::LayerGeometry &geometry() const { return geometry_; }
+};
+
+TEST(Pipeline, LiwcResolvesIntoThePipelinesOneCache)
+{
+    // The first frame resolves twice: LIWC's probe at its starting
+    // e1, then the partition at the e1 it picks.  Both land in the
+    // pipeline's one cache.
+    const FoveatedPolicy policy = FoveatedPolicy::qvr();
+    GeometryProbe qvr(config("Doom3-H"), policy);
+    const scene::FrameWorkload frame = workload("Doom3-H", 1).front();
+    const FrameStats s = qvr.step(frame);
+    ASSERT_NE(s.e1, policy.initialE1) << "LIWC kept its e1";
+
+    const foveation::LayerGeometry &g = qvr.geometry();
+    const Vec2 gaze{frame.motionSeen.gaze.x, frame.motionSeen.gaze.y};
+    EXPECT_EQ(g.cacheSize(), 2u);
+    g.resolve(policy.initialE1, gaze);  // LIWC's probe: a hit
+    g.resolve(s.e1, gaze);              // the frame's partition: a hit
+    EXPECT_EQ(g.cacheSize(), 2u);
 }
 
 TEST(Pipeline, FramesAdvanceMonotonically)

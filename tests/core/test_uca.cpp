@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.hpp"
@@ -286,6 +287,129 @@ TEST(UcaTiming, DetailedModeNeverIdlesPastReadyTiles)
     const UcaTimingResult r =
         uca.processFrameDetailed(1920, 2160, p, 0.0, 0.0);
     EXPECT_NEAR(r.done, r.busy / 2.0, r.busy * 0.01);
+}
+
+/** classifyTile over every tile of the frame: census's reference. */
+TileCensus
+perTileCensus(std::int32_t width, std::int32_t height,
+              const PixelPartition &p, std::int32_t ts)
+{
+    TileCensus c;
+    for (std::int32_t y = 0; y < height; y += ts) {
+        for (std::int32_t x = 0; x < width; x += ts) {
+            switch (classifyTile(p, x, y, ts)) {
+              case TileClass::Border:
+                c.border++;
+                break;
+              case TileClass::FoveaInterior:
+                c.foveaInterior++;
+                break;
+              case TileClass::PeripheryInterior:
+                c.peripheryInterior++;
+                break;
+            }
+        }
+    }
+    return c;
+}
+
+TEST(UcaTiming, CensusMatchesPerTileClassification)
+{
+    // Seeded sweep: odd canvas sizes, centres on and off the canvas
+    // (some on tile edges), zero and non-default blend bands, and
+    // ring radii snapped to a tile corner's distance, +- half a band
+    // (where classifyTile's predicate ties), besides random ones.
+    Rng rng(0xce05, 7);
+    const double bands[] = {0.0, 16.0, 5.5, 40.0};
+    std::size_t cases = 0, mismatches = 0;
+    for (int i = 0; i < 100000; i++) {
+        UcaConfig cfg;
+        cfg.tileSize = rng.chance(0.25) ? 16 : 32;
+        const auto ts = static_cast<std::int32_t>(cfg.tileSize);
+        const bool full = i % 500 == 0;
+        const auto width = static_cast<std::int32_t>(
+            full ? 1920 : rng.uniformInt(1, 300));
+        const auto height = static_cast<std::int32_t>(
+            full ? 2160 : rng.uniformInt(1, 300));
+
+        PixelPartition p;
+        p.blendBand = bands[rng.uniformInt(0, 3)];
+        if (rng.chance(0.2)) {
+            p.centerX = ts * static_cast<double>(rng.uniformInt(-2, 12));
+            p.centerY = ts * static_cast<double>(rng.uniformInt(-2, 12));
+        } else {
+            p.centerX = rng.uniform(-0.5, 1.5) * width;
+            p.centerY = rng.uniform(-0.5, 1.5) * height;
+        }
+        const double reach = 1.5 * std::max(width, height);
+        double radii[2];
+        for (double &r : radii) {
+            if (rng.chance(0.5)) {
+                const double cx = ts * static_cast<double>(
+                                           rng.uniformInt(0, width / ts + 1));
+                const double cy = ts * static_cast<double>(
+                                           rng.uniformInt(0, height / ts + 1));
+                const double half_band = p.blendBand / 2.0;
+                const double snaps[] = {-half_band, 0.0, half_band};
+                r = std::max(0.0, std::hypot(cx - p.centerX,
+                                             cy - p.centerY) +
+                                      snaps[rng.uniformInt(0, 2)]);
+            } else {
+                r = rng.uniform(0.0, reach);
+            }
+        }
+        p.foveaRadius = std::min(radii[0], radii[1]);
+        p.middleRadius = std::max(radii[0], radii[1]);
+        if (i % 1000 == 1) {
+            // A non-finite centre coordinate (no bulk runs).
+            const double bad[] = {std::nan(""), HUGE_VAL, -HUGE_VAL};
+            (rng.chance(0.5) ? p.centerX : p.centerY) =
+                bad[rng.uniformInt(0, 2)];
+        }
+
+        const TileCensus want = perTileCensus(width, height, p, ts);
+        const TileCensus got = UcaTimingModel(cfg).census(width, height, p);
+        cases++;
+        if (got.border != want.border ||
+            got.foveaInterior != want.foveaInterior ||
+            got.peripheryInterior != want.peripheryInterior) {
+            if (mismatches++ < 5) {
+                ADD_FAILURE()
+                    << width << "x" << height << " tile " << ts << " c=("
+                    << p.centerX << ", " << p.centerY << ") r=("
+                    << p.foveaRadius << ", " << p.middleRadius
+                    << ") band " << p.blendBand << ": census "
+                    << got.border << "/" << got.foveaInterior << "/"
+                    << got.peripheryInterior << ", per tile "
+                    << want.border << "/" << want.foveaInterior << "/"
+                    << want.peripheryInterior;
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << cases << " partitions";
+}
+
+TEST(UcaTiming, EyesShareOneCensus)
+{
+    // processFrame is schedule(census): two eyes scheduled from one
+    // census match two processFrame calls, reservations included.
+    PixelPartition p;
+    p.centerX = 900.5;
+    p.centerY = 1111.25;
+    p.foveaRadius = 300.0;
+    p.middleRadius = 352.0;
+    UcaTimingModel split;
+    UcaTimingModel whole;
+    const TileCensus tiles = split.census(1920, 2160, p);
+    for (int eye = 0; eye < 2; eye++) {
+        const UcaTimingResult a = split.schedule(tiles, 3e-3, 1e-3);
+        const UcaTimingResult b =
+            whole.processFrame(1920, 2160, p, 3e-3, 1e-3);
+        EXPECT_EQ(a.done, b.done);
+        EXPECT_EQ(a.busy, b.busy);
+        EXPECT_EQ(a.borderTiles, b.borderTiles);
+        EXPECT_EQ(a.interiorTiles, b.interiorTiles);
+    }
 }
 
 TEST(UcaTiming, BorderTilesCostMore)

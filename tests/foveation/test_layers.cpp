@@ -1,12 +1,15 @@
 /**
  * @file
  * Layer geometry: disc-screen intersection, pixel accounting, Eq. 1
- * e2 selection, resolution metrics, oracle caching.
+ * e2 selection, resolution metrics, partition caching.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "foveation/layers.hpp"
 
@@ -52,6 +55,65 @@ TEST(DiscScreenArea, ZeroRadiusIsZero)
 {
     DisplayConfig d;
     EXPECT_DOUBLE_EQ(discScreenAreaPixels(d, Vec2{}, 0.0), 0.0);
+}
+
+/** The disc/screen intersection by a 2^18-panel midpoint sum of the
+ *  clipped chord length: a reference independent of the production
+ *  Simpson integrator. */
+double
+denseDiscArea(const DisplayConfig &d, Vec2 gaze, double radius_deg)
+{
+    const double ppd = d.pixelsPerDegree();
+    const double cx = d.width / 2.0 + gaze.x * ppd;
+    const double cy = d.height / 2.0 + gaze.y * ppd;
+    const double r = radius_deg * ppd;
+    const double lo = std::max(0.0, cx - r);
+    const double hi = std::min(static_cast<double>(d.width), cx + r);
+    if (hi <= lo)
+        return 0.0;
+    constexpr int kPanels = 1 << 18;
+    const double h = (hi - lo) / kPanels;
+    double sum = 0.0;
+    for (int i = 0; i < kPanels; i++) {
+        const double dx = lo + (i + 0.5) * h - cx;
+        const double q = r * r - dx * dx;
+        if (q <= 0.0)
+            continue;
+        const double half = std::sqrt(q);
+        sum += std::max(0.0, std::min(static_cast<double>(d.height),
+                                      cy + half) -
+                                 std::max(0.0, cy - half));
+    }
+    return sum * h;
+}
+
+TEST(DiscScreenArea, SimpsonWithinBoundOfDenseIntegral)
+{
+    // Radii 5-80 deg at five gazes on both display sizes: centred,
+    // clipped by one edge, and clipped by two or three edges.
+    DisplayConfig small;
+    small.width = 1280;
+    small.height = 1440;
+    const Vec2 gazes[] = {
+        {0.0, 0.0}, {0.0, -30.0}, {20.0, 10.0}, {-45.0, 25.0},
+        {30.0, -40.0}};
+    double worst = 0.0;
+    for (const DisplayConfig &d : {DisplayConfig{}, small}) {
+        for (const Vec2 gaze : gazes) {
+            for (double r = 5.0; r <= 80.0; r += 1.25) {
+                const double ref = denseDiscArea(d, gaze, r);
+                ASSERT_GT(ref, 0.0);
+                const double err =
+                    std::abs(discScreenAreaPixels(d, gaze, r) - ref) /
+                    ref;
+                worst = std::max(worst, err);
+                EXPECT_LE(err, 5e-5) << d.width << "x" << d.height
+                                     << " r=" << r << " gaze=("
+                                     << gaze.x << ", " << gaze.y << ")";
+            }
+        }
+    }
+    RecordProperty("worst_relative_error", std::to_string(worst));
 }
 
 TEST(LayerGeometry, PixelCountsPartitionTheScreen)
@@ -151,6 +213,82 @@ TEST(LayerGeometry, ClampE1Range)
     EXPECT_DOUBLE_EQ(g.clampE1(12.0), 12.0);
     EXPECT_DOUBLE_EQ(g.clampE1(1000.0),
                      g.display().maxEccentricity());
+}
+
+void
+expectSameBits(double got, double want, const char *what)
+{
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << what << ": " << got << " vs " << want;
+}
+
+TEST(LayerGeometry, ResolveIsBitIdenticalToTheReferenceFunctions)
+{
+    // Every e1 on the quarter-degree grid from below the minimum to
+    // past e_max (the last half degree has no e2 candidate), at
+    // gazes that round to whole degrees, on both display sizes and
+    // with a MAR model whose cap does not bind (so the e2 search is
+    // not flat).
+    DisplayConfig small;
+    small.width = 1280;
+    small.height = 1440;
+    MarModel uncapped;
+    uncapped.maxSamplingFactor = 1e9;
+    const Vec2 gazes[] = {{0.4, -0.6}, {12.2, 7.7}, {-31.0, 19.0}};
+    std::size_t cases = 0;
+    for (const DisplayConfig &d : {DisplayConfig{}, small}) {
+        for (const MarModel &mar : {MarModel{}, uncapped}) {
+            const LayerGeometry g(d, mar);
+            const double e_max = d.maxEccentricity();
+            for (const Vec2 gaze : gazes) {
+                const Vec2 gq{std::round(gaze.x), std::round(gaze.y)};
+                for (double e1 = 4.0; e1 <= e_max + 1.0; e1 += 0.25) {
+                    SCOPED_TRACE(testing::Message()
+                                 << d.width << "x" << d.height
+                                 << " cap=" << mar.maxSamplingFactor
+                                 << " e1=" << e1 << " gaze=(" << gaze.x
+                                 << ", " << gaze.y << ")");
+                    const auto &r = g.resolve(e1, gaze);
+                    const double e1c = g.clampE1(e1);
+                    const LayerPartition p{
+                        e1c, g.selectOptimalE2(e1c, gq), gq};
+                    const LayerPixels px = g.pixelCounts(p);
+                    expectSameBits(r.partition.e1, p.e1, "e1");
+                    expectSameBits(r.partition.e2, p.e2, "e2");
+                    expectSameBits(r.partition.gaze.x, gq.x, "gaze.x");
+                    expectSameBits(r.partition.gaze.y, gq.y, "gaze.y");
+                    expectSameBits(r.pixels.foveaPixels, px.foveaPixels,
+                                   "foveaPixels");
+                    expectSameBits(r.pixels.middlePixels,
+                                   px.middlePixels, "middlePixels");
+                    expectSameBits(r.pixels.outerPixels, px.outerPixels,
+                                   "outerPixels");
+                    expectSameBits(r.pixels.middleFactor,
+                                   px.middleFactor, "middleFactor");
+                    expectSameBits(r.pixels.outerFactor, px.outerFactor,
+                                   "outerFactor");
+                    expectSameBits(r.linearResolution,
+                                   g.linearResolutionFraction(p),
+                                   "linearResolution");
+                    cases++;
+                }
+            }
+        }
+    }
+    EXPECT_GT(cases, 3000u);
+}
+
+TEST(PartitionOracle, HandlesShareTheGeometrysCache)
+{
+    const LayerGeometry g = geo();
+    const PartitionOracle a(g);
+    const PartitionOracle b(g);
+    const auto &first = a.resolve(10.0, Vec2{1.2, 0.4});
+    EXPECT_EQ(&first, &b.resolve(10.0, Vec2{1.2, 0.4}));
+    EXPECT_EQ(&first, &g.resolve(10.0, Vec2{1.2, 0.4}));
+    EXPECT_EQ(g.cacheSize(), 1u);
+    EXPECT_EQ(b.cacheSize(), 1u);
 }
 
 TEST(PartitionOracle, CachesQuantisedQueries)

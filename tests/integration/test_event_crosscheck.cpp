@@ -22,6 +22,27 @@
 #include "core/qvr_system.hpp"
 #include "sim/event_queue.hpp"
 
+namespace qvr::collab
+{
+
+/** Stable text for a SessionConfig test parameter: without it
+ *  GoogleTest prints the struct's bytes, heap pointers included, into
+ *  every CTest name. */
+void
+PrintTo(const SessionConfig &c, std::ostream *os)
+{
+    *os << c.benchmark << " users=" << c.users
+        << " frames=" << c.numFrames << " seed=" << c.seed
+        << " chiplets=" << c.totalChiplets << "/" << c.chipletsPerRequest
+        << " shards=" << c.serving.shards
+        << " scheduler=" << static_cast<int>(c.serving.scheduler.policy)
+        << " admission=" << c.serving.admission.enabled
+        << " batching=" << c.serving.batching.enabled
+        << " balancer=" << static_cast<int>(c.serving.balancer.policy);
+}
+
+}  // namespace qvr::collab
+
 namespace qvr::core
 {
 namespace
